@@ -46,6 +46,7 @@ import numpy as np
 from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import migrate_workers
 from repro.corpus.corpus import Corpus, TokenChunk
 from repro.core.kernels import (
     KernelConfig,
@@ -68,7 +69,6 @@ from repro.gpusim.errors import NodeLost
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.platform import CPU_E5_2690V4
 from repro.sched.partition import partition_by_tokens
-from repro.telemetry.context import emit_counter
 
 __all__ = ["LDAStar", "LDAStarResult"]
 
@@ -161,7 +161,7 @@ class LDAStar(Algorithm):
         #: Which cluster node hosts each logical worker. Starts as the
         #: identity map; elastic recovery re-homes a dead node's workers
         #: onto survivors without touching their partitions.
-        self._node_of = {i: i for i in range(num_workers)}
+        self._node_of = list(range(num_workers))
         self.membership = MembershipMonitor(self.network)
         self._config = KernelConfig(compressed=False)
         self._cost_model = CostModel()
@@ -272,9 +272,9 @@ class LDAStar(Algorithm):
             w.local_counts = accumulate_phi(w.chunk, w.topics, K)
         hosting = state.extras.get("node_hosting")
         if hosting is not None:
-            self._node_of = {i: int(n) for i, n in enumerate(hosting)}
+            self._node_of = [int(n) for n in hosting]
         else:
-            self._node_of = {i: i for i in range(len(self.workers))}
+            self._node_of = list(range(len(self.workers)))
         dead = state.extras.get("dead_nodes")
         if dead is not None and len(dead):
             # Re-bury nodes the checkpointed run had already lost: fail
@@ -334,10 +334,7 @@ class LDAStar(Algorithm):
             "network_bytes": np.array(
                 [self._net_base + self.network.total_bytes()]
             ),
-            "node_hosting": np.array(
-                [self._node_of[i] for i in range(len(self.workers))],
-                dtype=np.int64,
-            ),
+            "node_hosting": np.array(self._node_of, dtype=np.int64),
             "dead_nodes": np.array(self.membership.dead_nodes, dtype=np.int64),
         }
         for i, delta in self._pending_delta.items():
@@ -410,23 +407,10 @@ class LDAStar(Algorithm):
                 min(dead) if dead else 0,
                 "no surviving nodes to migrate work to",
             )
-        load = {n: 0 for n in survivors}
-        for w in self.workers:
-            host = self._node_of[w.worker_id]
-            if host in load:
-                load[host] += w.chunk.num_tokens
-        for w in self.workers:
-            host = self._node_of[w.worker_id]
-            if host in survivors:
-                continue
-            target = min(survivors, key=lambda n: (load[n], n))
-            self._node_of[w.worker_id] = target
-            load[target] += w.chunk.num_tokens
-            emit_counter(
-                "node_migrations_total", 1,
-                help="Logical workers migrated off dead cluster nodes.",
-                worker=w.worker_id, to_node=target,
-            )
+        self._node_of = migrate_workers(
+            self._node_of, [w.chunk.num_tokens for w in self.workers],
+            survivors,
+        )
         _, done = self.server.reshard(self._recounted_phi(), self._clock)
         self._clock = max(self._clock, done)
         # Refresh the state the engine will snapshot: φ now reflects the

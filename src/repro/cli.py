@@ -606,7 +606,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from repro.core import CuLDA, TrainConfig
-    from repro.core.culda import BREAKDOWN_KINDS, _busy_fractions
+    from repro.core.culda import BREAKDOWN_KINDS
     from repro.engine import TrainingFailure
     from repro.gpusim.platform import make_machine
     from repro.obs.profiling import (
@@ -614,6 +614,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         counter_total,
         profile_json,
     )
+    from repro.sched.schedule import busy_fractions
     from repro.telemetry import JSONLEmitter, MetricsRegistry
     from repro.telemetry.exporters import merged_chrome_json, to_prometheus
 
@@ -697,7 +698,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print()
 
     t1 = machine.trace.makespan()
-    busy = _busy_fractions(
+    busy = busy_fractions(
         machine.trace.intervals,
         [g.device_id for g in machine.gpus],
         0.0,

@@ -14,6 +14,8 @@ server. This subpackage simulates that substrate:
 - :mod:`repro.cluster.membership` — the heartbeat/lease failure
   detector that turns node silence into ``alive → suspect → dead``
   membership verdicts on the simulated clock.
+- :mod:`repro.cluster.placement` — the token-lightest planner that
+  migrates a dead node's logical workers onto survivors.
 """
 
 from repro.cluster.membership import (
@@ -23,6 +25,7 @@ from repro.cluster.membership import (
 )
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import migrate_workers, token_lightest_moves
 
 __all__ = [
     "ClusterNetwork",
@@ -30,4 +33,6 @@ __all__ = [
     "MembershipMonitor",
     "NodeLost",
     "ShardedParameterServer",
+    "migrate_workers",
+    "token_lightest_moves",
 ]

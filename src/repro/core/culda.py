@@ -39,6 +39,7 @@ from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
 from repro.core.model import LDAHyperParams, SparseTheta
 from repro.engine.algorithm import Algorithm, IterationOutcome
 from repro.engine.loop import LoopConfig, TrainingLoop
+from repro.engine.recovery import RecoveryPolicy
 from repro.engine.results import IterationStats, TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.costmodel import KernelCost
@@ -49,7 +50,6 @@ from repro.sched.schedule import (
     ChunkRuntime,
     DeviceChunk,
     GpuWorker,
-    busy_fractions,
     download_chunk,
     iteration_trace_stats,
     run_iteration_resident,
@@ -73,9 +73,6 @@ __all__ = [
 BREAKDOWN_KINDS = (
     "sampling", "update_theta", "update_phi", "sync", "p2p", "h2d", "d2h",
 )
-
-#: Backward-compatible alias (the implementation moved to repro.sched).
-_busy_fractions = busy_fractions
 
 
 @dataclass(frozen=True)
@@ -158,6 +155,8 @@ class CuLDA(Algorithm):
     """
 
     name = "culda"
+    #: What a ``recovery`` mode string passed to :meth:`train` becomes.
+    _policy_class = RecoveryPolicy
 
     def __init__(
         self,
@@ -228,9 +227,7 @@ class CuLDA(Algorithm):
         """
         cfg = self.config
         if isinstance(recovery, str):
-            from repro.engine.recovery import RecoveryPolicy
-
-            recovery = RecoveryPolicy(mode=recovery)
+            recovery = self._policy_class(mode=recovery)
         if isinstance(fault_plan, (str, bytes)) or hasattr(fault_plan, "__fspath__"):
             from repro.faults.plan import FaultPlan
 
@@ -265,6 +262,7 @@ class CuLDA(Algorithm):
         kcfg = cfg.kernel_config()
         machine = self.machine
         G = len(machine.gpus)
+        self._hyper, self._kcfg = hyper, kcfg
 
         with span("preprocess"):
             plan = choose_chunking(
@@ -277,8 +275,8 @@ class CuLDA(Algorithm):
             )
             runtimes = self._init_runtimes(plan, hyper, kcfg)
             if resume is not None:
-                self._restore_runtimes(runtimes, resume, hyper, kcfg)
-            phi_host = self._initial_phi(runtimes, hyper, kcfg)
+                self._restore_runtimes(runtimes, resume)
+            phi_host = self._as_phi_dtype(self._count_phi(runtimes))
         workers = [
             GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
             for dev in machine.gpus
@@ -286,9 +284,7 @@ class CuLDA(Algorithm):
 
         # Initial distribution (Alg 1 lines 7-9).
         dev_chunks: list[DeviceChunk] = []
-        for w in workers:
-            machine.memcpy_h2d(w.phi_full, phi_host, stream=w.upload, label="h2d:phi")
-            self._launch_nk(w, kcfg)
+        self._upload_phi(machine, workers, phi_host, "h2d:phi")
         if plan.chunks_per_gpu == 1:
             dev_chunks = [
                 upload_chunk(machine, workers[g], runtimes[g])
@@ -297,7 +293,6 @@ class CuLDA(Algorithm):
         machine.synchronize()
         machine.reset_clock()  # measure iterations from t=0, as Fig 7 does
 
-        self._hyper, self._kcfg = hyper, kcfg
         self._plan, self._runtimes = plan, runtimes
         self._workers, self._dev_chunks = workers, dev_chunks
         self._t_prev = 0.0
@@ -311,14 +306,10 @@ class CuLDA(Algorithm):
         return state
 
     def _restore_runtimes(
-        self,
-        runtimes: list[ChunkRuntime],
-        state: RunState,
-        hyper: LDAHyperParams,
-        kcfg: KernelConfig,
+        self, runtimes: list[ChunkRuntime], state: RunState
     ) -> None:
-        """Overwrite freshly initialized chunk runtimes with checkpoint
-        state (topics z, θ, RNG stream position), validating shape."""
+        """Overwrite chunk runtimes with checkpoint or snapshot state
+        (topics z, θ, RNG stream position), validating shape."""
         if len(state.topics) != len(runtimes):
             raise ValueError(
                 f"checkpoint has {len(state.topics)} chunk(s), this run "
@@ -326,7 +317,7 @@ class CuLDA(Algorithm):
             )
         if state.thetas is None or len(state.rngs) != len(runtimes):
             raise ValueError("checkpoint is missing per-chunk sampler state")
-        dtype = hyper.topic_dtype(kcfg.compressed)
+        dtype = self._hyper.topic_dtype(self._kcfg.compressed)
         for i, rt in enumerate(runtimes):
             topics = state.topics[i]
             if topics.size != rt.chunk.num_tokens:
@@ -375,62 +366,16 @@ class CuLDA(Algorithm):
             t_now,
         )
         self._t_prev = t_now
-
-        kd = np.array([r.last_stats.mean_kd for r in runtimes])
-        p1 = np.array([r.last_stats.p1_fraction for r in runtimes])
-        weights = np.array([r.chunk.num_tokens for r in runtimes], dtype=float)
-        weights /= weights.sum()
-        tps = self.corpus.num_tokens / dt if dt > 0 else 0.0
-
-        emit_observe(
-            "iteration_sim_seconds", dt,
-            help="simulated duration of one training iteration",
-        )
-        emit_gauge(
-            "train_tokens_per_sec", tps,
-            help="simulated sampling throughput (Eq 2)",
-        )
-        for d, f in busy.items():
-            emit_gauge(
-                "device_busy_fraction", f,
-                help="device busy share of the last iteration",
-                device=str(d),
-            )
-        return IterationOutcome(
-            sim_seconds=dt,
-            tokens_per_sec=tps,
-            stats={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
-            },
-            sync_event={
-                "sync_seconds": sync_seconds,
-                "p2p_bytes": p2p_bytes,
-            },
-            event={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
-                "p1_draws": sum(r.last_stats.p1_draws for r in runtimes),
-                "p2_draws": sum(
-                    r.last_stats.num_tokens - r.last_stats.p1_draws
-                    for r in runtimes
-                ),
-                "tree_probe_levels": sum(
-                    r.last_stats.tree_probe_levels for r in runtimes
-                ),
-                "device_busy_fraction": busy,
-                "phi": lambda w=workers[0]: (
-                    w.phi_full.data.astype(np.int32).copy()
-                ),
-            },
+        return self._outcome(
+            dt, busy, {"sync_seconds": sync_seconds, "p2p_bytes": p2p_bytes}
         )
 
     def log_likelihood(self, state: RunState) -> float:
         with span("likelihood"):
-            return self._likelihood(self._runtimes, self._workers[0], self._hyper)
+            return self._likelihood(self._synced_phi())
 
     def capture_state(self, state: RunState) -> None:
-        state.phi = self._workers[0].phi_full.data.astype(np.int32).copy()
+        state.phi = self._synced_phi().astype(np.int32)
         state.topics = [r.topics for r in self._runtimes]
         state.thetas = [r.theta for r in self._runtimes]
         state.rngs = [r.rng for r in self._runtimes]
@@ -438,62 +383,28 @@ class CuLDA(Algorithm):
     def check_invariants(self, state: RunState) -> list[str]:
         """Every GPU must hold the same synchronized φ replica — silent
         transfer corruption of any one replica breaks this."""
-        workers = self._workers
-        ref = workers[0].phi_full.data
-        out = []
-        for w in workers[1:]:
-            if not np.array_equal(w.phi_full.data, ref):
-                out.append(
-                    f"phi replica on GPU {w.device.device_id} diverges "
-                    f"from GPU {workers[0].device.device_id}"
-                )
-        return out
+        return self._replica_divergence(self._workers)
 
     def finalize(self, state: RunState, wall_seconds: float) -> TrainResult:
-        machine = self.machine
-        runtimes, workers = self._runtimes, self._workers
-        plan, hyper = self._plan, self._hyper
+        machine, workers = self.machine, self._workers
         G = len(workers)  # surviving GPUs (== all, absent device loss)
         total_sim = self._sim_base + machine.synchronize()
 
-        # Final collection (Alg 1 lines 17-20 / 35).
+        # Final collection (Alg 1 lines 17-20 / 35); resident chunks only.
         machine.memcpy_d2h(workers[0].phi_full, stream=workers[0].download,
                            label="d2h:phi")
-        if plan.chunks_per_gpu == 1:
-            for g in range(G):
-                download_chunk(machine, workers[g], runtimes[g],
-                               self._dev_chunks[g])
+        for w, rt, dc in zip(workers, self._runtimes, self._dev_chunks):
+            download_chunk(machine, w, rt, dc)
         machine.synchronize()
 
-        breakdown = machine.trace.breakdown_fractions(BREAKDOWN_KINDS)
-        phi_final = workers[0].phi_full.data.astype(np.int32).copy()
-        theta_final = SparseTheta.concatenate(
-            [r.theta for r in runtimes], hyper.num_topics
+        result = self._result(
+            state, wall_seconds, [machine], total_sim,
+            machine.trace.breakdown_fractions(BREAKDOWN_KINDS),
+            machine_name=machine.name, num_gpus=G,
         )
-        topics_final = self._merge_topics(runtimes)
-        peak = max(gpu.allocator.peak_bytes for gpu in machine.gpus)
         for w in workers:
             w.free_all()
-        self._peak_device_bytes = peak
-
-        return TrainResult(
-            corpus_name=self.corpus.name,
-            machine_name=machine.name,
-            num_gpus=G,
-            num_tokens=self.corpus.num_tokens,
-            plan_chunks=plan.num_chunks,
-            chunks_per_gpu=plan.chunks_per_gpu,
-            iterations=list(state.history),
-            total_sim_seconds=total_sim,
-            wall_seconds=wall_seconds,
-            breakdown=breakdown,
-            phi=phi_final,
-            theta=theta_final,
-            hyper=hyper,
-            peak_device_bytes=peak,
-            topics=topics_final,
-            algo=self.name,
-        )
+        return result
 
     def end_event(self, state: RunState, result: TrainResult) -> dict:
         return {"peak_device_bytes": self._peak_device_bytes}
@@ -512,35 +423,16 @@ class CuLDA(Algorithm):
         never faulted.
         """
         machine = self.machine
-        hyper, kcfg = self._hyper, self._kcfg
-        runtimes = self._runtimes
-        if len(state.topics) != len(runtimes) or state.thetas is None:
-            raise ValueError(
-                "rollback state does not match the live chunk layout"
-            )
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        for i, rt in enumerate(runtimes):
-            rt.topics = state.topics[i].astype(dtype, copy=False)
-            rt.theta = state.thetas[i]
-            rt.rng = state.rngs[i]
-        phi_host = self._initial_phi(runtimes, hyper, kcfg)
-        for w in self._workers:
-            machine.memcpy_h2d(
-                w.phi_full, phi_host, stream=w.upload, label="h2d:phi_rollback"
-            )
-            self._launch_nk(w, kcfg)
-        if self._plan.chunks_per_gpu == 1:
-            for g, w in enumerate(self._workers):
-                dc, rt = self._dev_chunks[g], runtimes[g]
-                machine.memcpy_h2d(
-                    dc.topics, rt.topics, stream=w.upload,
-                    label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
-                )
-                dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
+        self._reinstall(state, "rollback")
+        phi_host = self._as_phi_dtype(self._count_phi(self._runtimes))
+        self._upload_phi(machine, self._workers, phi_host, "h2d:phi_rollback")
+        self._reupload_resident(
+            machine, self._workers, self._runtimes, self._dev_chunks
+        )
         # Recovery time stays on the clock (no reset): fault handling is
         # part of the run the timeline reports.
         self._t_prev = machine.synchronize()
-        state.phi = self._workers[0].phi_full.data.astype(np.int32).copy()
+        state.phi = self._synced_phi().astype(np.int32)
 
     def handle_device_loss(self, state: RunState) -> None:
         """Elastic re-partition over the surviving GPUs.
@@ -562,10 +454,7 @@ class CuLDA(Algorithm):
         if not alive:
             raise FaultError("no surviving GPUs to re-partition over")
         old_runtimes = self._runtimes
-        if len(state.topics) != len(old_runtimes) or state.thetas is None:
-            raise ValueError(
-                "device-loss state does not match the live chunk layout"
-            )
+        self._check_layout(state, "device-loss")
 
         # Dead GPU's shard state comes from the snapshot: merge all
         # chunks' assignments back to the original corpus token order.
@@ -601,19 +490,14 @@ class CuLDA(Algorithm):
                 chunk, topics, hyper.num_topics, kcfg.compressed
             )
             runtimes.append(ChunkRuntime(cid, chunk, topics, theta, children[cid]))
-        phi_host = self._initial_phi(runtimes, hyper, kcfg)
+        phi_host = self._as_phi_dtype(self._count_phi(runtimes))
 
         workers = [
             GpuWorker(dev, hyper.num_topics, self.corpus.num_words, kcfg)
             for dev in alive
         ]
         dev_chunks: list[DeviceChunk] = []
-        for w in workers:
-            machine.memcpy_h2d(
-                w.phi_full, phi_host, stream=w.upload,
-                label="h2d:phi_repartition",
-            )
-            self._launch_nk(w, kcfg)
+        self._upload_phi(machine, workers, phi_host, "h2d:phi_repartition")
         if plan.chunks_per_gpu == 1:
             dev_chunks = [
                 upload_chunk(machine, workers[g], runtimes[g])
@@ -629,10 +513,7 @@ class CuLDA(Algorithm):
         )
 
         # Refresh the restored state to the new shard layout.
-        state.topics = [r.topics for r in runtimes]
-        state.thetas = [r.theta for r in runtimes]
-        state.rngs = [r.rng for r in runtimes]
-        state.phi = workers[0].phi_full.data.astype(np.int32).copy()
+        self.capture_state(state)
 
     # ------------------------------------------------------------------
     # Internals
@@ -679,58 +560,195 @@ class CuLDA(Algorithm):
             runtimes.append(ChunkRuntime(cid, chunk, topics, theta, rng))
         return runtimes
 
-    def _initial_phi(
-        self,
-        runtimes: list[ChunkRuntime],
-        hyper: LDAHyperParams,
-        kcfg: KernelConfig,
-    ) -> np.ndarray:
-        """The full initial φ (host-side, part of preprocessing).
+    def _count_phi(self, runtimes: list[ChunkRuntime]) -> np.ndarray:
+        """Exact φ counts (int64) of *runtimes*' current assignments.
 
-        On resume this recounts φ from the restored assignments, which
+        Host-side, part of preprocessing. On resume or rollback this
         reproduces the checkpoint's synchronized φ exactly (integer
         counts are a pure function of z).
         """
-        phi = np.zeros((hyper.num_topics, self.corpus.num_words), dtype=np.int64)
+        K = self._hyper.num_topics
+        phi = np.zeros((K, self.corpus.num_words), dtype=np.int64)
         for r in runtimes:
-            phi += accumulate_phi(r.chunk, r.topics, hyper.num_topics)
-        if kcfg.compressed and phi.max(initial=0) >= 2**16:
-            raise OverflowError("initial φ overflows 16-bit compression")
-        dtype = np.uint16 if kcfg.compressed else np.int32
-        return phi.astype(dtype)
+            phi += accumulate_phi(r.chunk, r.topics, K)
+        return phi
 
-    def _launch_nk(self, worker: GpuWorker, kcfg: KernelConfig) -> None:
-        K, V = worker.phi_full.shape
+    def _as_phi_dtype(self, phi: np.ndarray) -> np.ndarray:
+        """*phi* in the device φ dtype (16-bit when compressed)."""
+        if self._kcfg.compressed:
+            if phi.max(initial=0) >= 2**16:
+                raise OverflowError("φ overflows 16-bit compression")
+            return phi.astype(np.uint16)
+        return phi.astype(np.int32)
 
-        def body() -> None:
-            worker.n_k.data[...] = worker.phi_full.data.astype(np.int64).sum(axis=1)
-
-        KernelLaunch(
-            body,
-            KernelCost(
-                bytes_read=float(K) * V * kcfg.phi_bytes,
-                bytes_written=K * 8.0,
-                flops=float(K) * V,
-            ),
-            "n_k_rowsum",
-            "sync",
-        ).launch(worker.upload)
-
-    def _likelihood(
+    def _upload_phi(
         self,
+        machine: Machine,
+        workers: list[GpuWorker],
+        phi_host: np.ndarray,
+        label: str,
+    ) -> None:
+        """Copy *phi_host* into every worker's φ replica, then recount its
+        topic totals n_k on the device."""
+        K, V = phi_host.shape
+        cost = KernelCost(
+            bytes_read=float(K) * V * self._kcfg.phi_bytes,
+            bytes_written=K * 8.0,
+            flops=float(K) * V,
+        )
+        for w in workers:
+            machine.memcpy_h2d(w.phi_full, phi_host, stream=w.upload, label=label)
+
+            def body(w=w) -> None:
+                w.n_k.data[...] = w.phi_full.data.astype(np.int64).sum(axis=1)
+
+            KernelLaunch(body, cost, "n_k_rowsum", "sync").launch(w.upload)
+
+    @staticmethod
+    def _replica_divergence(workers: list[GpuWorker], where: str = "") -> list[str]:
+        ref = workers[0]
+        return [
+            f"phi replica on {where}GPU {w.device.device_id} diverges "
+            f"from GPU {ref.device.device_id}"
+            for w in workers[1:]
+            if not np.array_equal(w.phi_full.data, ref.phi_full.data)
+        ]
+
+    @staticmethod
+    def _reupload_resident(
+        machine: Machine,
+        workers: list[GpuWorker],
         runtimes: list[ChunkRuntime],
-        worker0: GpuWorker,
-        hyper: LDAHyperParams,
-    ) -> float:
-        """Joint log-likelihood per token from the host mirrors.
+        dev_chunks: list[DeviceChunk],
+    ) -> None:
+        """Re-upload restored z and θ into resident chunk buffers (a
+        no-op when chunks stream, as *dev_chunks* is then empty)."""
+        for w, rt, dc in zip(workers, runtimes, dev_chunks):
+            machine.memcpy_h2d(
+                dc.topics, rt.topics, stream=w.upload,
+                label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
+            )
+            dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
+
+    def _check_layout(self, state: RunState, what: str) -> None:
+        if len(state.topics) != len(self._runtimes) or state.thetas is None:
+            raise ValueError(
+                f"{what} state does not match the live chunk layout"
+            )
+
+    def _reinstall(self, state: RunState, what: str) -> None:
+        """Put a known-good snapshot's per-chunk z, θ and RNG stream back
+        into the live chunk runtimes."""
+        self._check_layout(state, what)
+        self._restore_runtimes(self._runtimes, state)
+
+    def _synced_phi(self) -> np.ndarray:
+        """The synchronized φ every worker holds after an iteration."""
+        return self._workers[0].phi_full.data
+
+    def _outcome(
+        self,
+        dt: float,
+        busy: dict,
+        sync_event: dict,
+        stats: dict | None = None,
+        event: dict | None = None,
+    ) -> IterationOutcome:
+        """One iteration's outcome: token-weighted kd and p1 share over
+        every chunk, Eq 2 throughput over the simulated *dt*, and the
+        per-iteration gauges. *stats*/*event* add trainer-specific keys."""
+        runtimes = self._runtimes
+        kd = np.array([r.last_stats.mean_kd for r in runtimes])
+        p1 = np.array([r.last_stats.p1_fraction for r in runtimes])
+        weights = np.array([r.chunk.num_tokens for r in runtimes], dtype=float)
+        weights /= weights.sum()
+        mean_kd, p1_fraction = float(kd @ weights), float(p1 @ weights)
+        tps = self.corpus.num_tokens / dt if dt > 0 else 0.0
+
+        emit_observe(
+            "iteration_sim_seconds", dt,
+            help="simulated duration of one training iteration",
+        )
+        emit_gauge(
+            "train_tokens_per_sec", tps,
+            help="simulated sampling throughput (Eq 2)",
+        )
+        for d, f in busy.items():
+            emit_gauge(
+                "device_busy_fraction", f,
+                help="device busy share of the last iteration",
+                device=str(d),
+            )
+        phi = self._synced_phi()
+        return IterationOutcome(
+            sim_seconds=dt,
+            tokens_per_sec=tps,
+            stats={"mean_kd": mean_kd, "p1_fraction": p1_fraction, **(stats or {})},
+            sync_event=sync_event,
+            event={
+                "mean_kd": mean_kd,
+                "p1_fraction": p1_fraction,
+                "p1_draws": sum(r.last_stats.p1_draws for r in runtimes),
+                "p2_draws": sum(
+                    r.last_stats.num_tokens - r.last_stats.p1_draws
+                    for r in runtimes
+                ),
+                "tree_probe_levels": sum(
+                    r.last_stats.tree_probe_levels for r in runtimes
+                ),
+                **(event or {}),
+                "device_busy_fraction": busy,
+                "phi": lambda: phi.astype(np.int32),
+            },
+        )
+
+    def _result(
+        self,
+        state: RunState,
+        wall_seconds: float,
+        machines: list[Machine],
+        total_sim: float,
+        breakdown: dict[str, float],
+        **extra,
+    ) -> TrainResult:
+        """The run's result from the live chunks and the synchronized φ;
+        records the device-memory high-water over *machines*."""
+        hyper, plan, runtimes = self._hyper, self._plan, self._runtimes
+        self._peak_device_bytes = max(
+            gpu.allocator.peak_bytes for m in machines for gpu in m.gpus
+        )
+        return TrainResult(
+            corpus_name=self.corpus.name,
+            num_tokens=self.corpus.num_tokens,
+            plan_chunks=plan.num_chunks,
+            chunks_per_gpu=plan.chunks_per_gpu,
+            iterations=list(state.history),
+            total_sim_seconds=total_sim,
+            wall_seconds=wall_seconds,
+            breakdown=breakdown,
+            phi=self._synced_phi().astype(np.int32),
+            theta=SparseTheta.concatenate(
+                [r.theta for r in runtimes], hyper.num_topics
+            ),
+            hyper=hyper,
+            peak_device_bytes=self._peak_device_bytes,
+            topics=self._merge_topics(runtimes),
+            algo=self.name,
+            **extra,
+        )
+
+    def _likelihood(self, phi: np.ndarray) -> float:
+        """Joint log-likelihood per token of the synchronized *phi* and
+        every chunk's θ (host mirrors).
 
         Analysis-only (not charged to the simulated clock), as the paper
         evaluates likelihood offline from model snapshots.
         """
-        phi = worker0.phi_full.data.astype(np.int64)
+        hyper = self._hyper
+        phi = phi.astype(np.int64, copy=False)
         n_k = phi.sum(axis=1)
         ll = word_log_likelihood(phi, n_k, hyper, self.corpus.num_words)
-        for r in runtimes:
+        for r in self._runtimes:
             ll += _doc_log_likelihood(r.theta, r.chunk.doc_lengths, hyper)
         return ll / self.corpus.num_tokens
 

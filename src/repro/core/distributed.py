@@ -24,9 +24,14 @@ Bounded staleness (``TrainConfig.staleness = s``, after F+NOMAD): the
 inter-node leg runs every ``s+1`` iterations; in between, each node
 samples against the last global φ *plus its own pending updates*
 (read-your-writes, so token counts are conserved). ``s = 0`` is the
-synchronous mode and degenerates bit-identically; ``num_nodes = 1``
-degenerates to the single-machine trainer exactly (same plan, same
-timings, same checkpoint bytes).
+synchronous mode and degenerates bit-identically.
+
+One node is not a cluster: a single machine trains with
+:class:`~repro.core.culda.CuLDA` (``--nodes 1``), and this trainer
+needs at least two. The hierarchical path is not a free superset of the
+single-machine one — its leader ``d2h:node_phi`` extraction and per-GPU
+``h2d:phi_global`` redistribution would cost simulated time that one
+machine never spends.
 
 Elasticity (docs/DISTRIBUTED.md §5, docs/ROBUSTNESS.md §8): under a
 :class:`~repro.engine.recovery.ClusterRecoveryPolicy` the trainer
@@ -53,14 +58,13 @@ import numpy as np
 
 from repro.comm import AUTO, ClusterSyncContext, get_cluster_collective, plan_cluster_sync
 from repro.core.culda import BREAKDOWN_KINDS, CuLDA, TrainConfig
-from repro.core.kernels import accumulate_phi
-from repro.core.likelihood import _doc_log_likelihood, word_log_likelihood
-from repro.core.model import SparseTheta
 from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import migrate_workers
 from repro.corpus.corpus import Corpus
 from repro.engine.algorithm import IterationOutcome
+from repro.engine.recovery import ClusterRecoveryPolicy
 from repro.engine.results import TrainResult
 from repro.engine.state import RunState
 from repro.gpusim.errors import FaultError, NodeLost
@@ -74,7 +78,7 @@ from repro.sched.schedule import (
     run_iteration_streaming,
     upload_chunk,
 )
-from repro.telemetry.context import emit_counter, emit_gauge, emit_observe
+from repro.telemetry.context import emit_counter, emit_gauge
 from repro.telemetry.spans import span
 
 __all__ = ["DistributedCuLDA"]
@@ -84,13 +88,13 @@ _ENTRY_BYTES = 4
 
 
 class DistributedCuLDA(CuLDA):
-    """CuLDA_CGS on *N* simulated machines joined by a cluster network.
+    """CuLDA_CGS on *N ≥ 2* simulated machines joined by a cluster network.
 
     Parameters
     ----------
     corpus: input corpus.
-    machines: one simulated machine per node; all nodes must have the
-        same GPU count (G). A single machine degenerates exactly to
+    machines: one simulated machine per node, at least two; all nodes
+        must have the same GPU count (G). One machine trains with
         :class:`~repro.core.culda.CuLDA`.
     network: the Ethernet fabric; defaults to a fresh
         :class:`~repro.cluster.network.ClusterNetwork` over the nodes.
@@ -99,8 +103,13 @@ class DistributedCuLDA(CuLDA):
 
     The checkpoint format and ``name`` are shared with the
     single-machine trainer, so run-state files resume across any
-    layout with the same total worker count.
+    layout with the same total worker count. A ``recovery`` mode string
+    passed to :meth:`train` becomes a
+    :class:`~repro.engine.recovery.ClusterRecoveryPolicy`, so the
+    heartbeat failure detector gets its lease thresholds.
     """
+
+    _policy_class = ClusterRecoveryPolicy
 
     def __init__(
         self,
@@ -114,8 +123,11 @@ class DistributedCuLDA(CuLDA):
         num_shards: int | None = None,
     ):
         machines = list(machines)
-        if not machines:
-            raise ValueError("need at least one machine (node)")
+        if len(machines) < 2:
+            raise ValueError(
+                f"DistributedCuLDA needs at least two machines (nodes), got "
+                f"{len(machines)}; train a single machine with CuLDA"
+            )
         gpus = {len(m.gpus) for m in machines}
         if len(gpus) != 1:
             raise ValueError(
@@ -156,47 +168,13 @@ class DistributedCuLDA(CuLDA):
     def num_workers(self) -> int:
         return self.num_nodes * self.gpus_per_node
 
-    def train(
-        self,
-        callbacks=None,
-        *,
-        save_every: int = 0,
-        checkpoint_path=None,
-        resume=None,
-        vocabulary=None,
-        recovery=None,
-        fault_plan=None,
-    ) -> TrainResult:
-        """Same contract as :meth:`CuLDA.train`, except a ``recovery``
-        mode string becomes a
-        :class:`~repro.engine.recovery.ClusterRecoveryPolicy` on a
-        multi-node run, so the heartbeat failure detector gets its
-        lease thresholds (single-node keeps the GPU-domain policy)."""
-        if self.num_nodes > 1 and isinstance(recovery, str):
-            from repro.engine.recovery import ClusterRecoveryPolicy
-
-            recovery = ClusterRecoveryPolicy(mode=recovery)
-        return super().train(
-            callbacks,
-            save_every=save_every,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            vocabulary=vocabulary,
-            recovery=recovery,
-            fault_plan=fault_plan,
-        )
-
     # ------------------------------------------------------------------
     # Algorithm strategy surface
     # ------------------------------------------------------------------
     def init_state(self, resume: RunState | None = None) -> RunState:
-        if self.num_nodes == 1:
-            # Exact single-machine degeneration: same plan, same clock,
-            # same checkpoint bytes (no distributed extras).
-            return super().init_state(resume)
-
         cfg = self.config
         hyper, kcfg = cfg.hyper(), cfg.kernel_config()
+        self._hyper, self._kcfg = hyper, kcfg
         N, G = self.num_nodes, self.gpus_per_node
         W = N * G
 
@@ -211,8 +189,7 @@ class DistributedCuLDA(CuLDA):
             )
             runtimes = self._init_runtimes(plan, hyper, kcfg)
             if resume is not None:
-                self._restore_runtimes(runtimes, resume, hyper, kcfg)
-        self._hyper, self._kcfg = hyper, kcfg
+                self._restore_runtimes(runtimes, resume)
         self._plan, self._runtimes = plan, runtimes
 
         # Failure detector over the fabric; lease thresholds come from
@@ -251,16 +228,12 @@ class DistributedCuLDA(CuLDA):
                     int(x)
                     for x in np.asarray(extras.get("dist_dead_nodes", ()))
                 }
-        for n in sorted(self._dead_nodes):
-            # Re-bury nodes the checkpointed run had already lost.
-            if self.network.node_alive(n):
-                self.network.fail_node(n)
-            self.membership.force_dead(n, 0.0)
+        self._rebury_dead_nodes()
 
         self._node_runtimes = self._hosted_runtimes()
         self._host_nodes = [n for n in range(N) if self._node_runtimes[n]]
-        node_counts = [self._node_phi_counts(n) for n in range(N)]
-        global_phi = self._sum_counts(node_counts)
+        node_counts = [self._count_phi(rs) for rs in self._node_runtimes]
+        global_phi = sum(node_counts)
 
         # Staleness bookkeeping: the last globally synced φ and each
         # node's contribution at that sync. Restored from checkpoint
@@ -279,10 +252,6 @@ class DistributedCuLDA(CuLDA):
         self._node_dev_chunks: list[list] = [[] for _ in range(N)]
         self._node_resident: list[bool] = [False] * N
         self._attach_nodes("h2d:phi", reset_clock=True)
-
-        # Parent-method compatibility (likelihood helpers, summaries).
-        self._workers = self._node_workers[self._host_nodes[0]]
-        self._dev_chunks = self._node_dev_chunks[self._host_nodes[0]]
         self._peak_device_bytes = 0
 
         self.server = ShardedParameterServer(
@@ -301,22 +270,17 @@ class DistributedCuLDA(CuLDA):
         return state
 
     def start_event(self, state: RunState) -> dict:
-        event = super().start_event(state)
-        if self.num_nodes > 1:
-            event.update(
-                num_nodes=self.num_nodes,
-                gpus_per_node=self.gpus_per_node,
-                inter_sync=self.config.inter_sync,
-                staleness=self.config.staleness,
-            )
-        return event
+        return {
+            **super().start_event(state),
+            "num_nodes": self.num_nodes,
+            "gpus_per_node": self.gpus_per_node,
+            "inter_sync": self.config.inter_sync,
+            "staleness": self.config.staleness,
+        }
 
     def run_iteration(self, state: RunState) -> IterationOutcome:
-        if self.num_nodes == 1:
-            return super().run_iteration(state)
-
         cfg = self.config
-        N, G = self.num_nodes, self.gpus_per_node
+        N = self.num_nodes
         hyper, kcfg = self._hyper, self._kcfg
         it = self._iter_index
         self._iter_index += 1
@@ -399,7 +363,7 @@ class DistributedCuLDA(CuLDA):
         ]
         pending = [node_counts[n] - self._node_base[n] for n in range(N)]
         self._node_counts = node_counts
-        self._global_phi = self._sum_counts(node_counts)
+        self._global_phi = sum(node_counts)
 
         # --- inter-node leg --------------------------------------------
         shape = node_counts[0].shape
@@ -447,14 +411,11 @@ class DistributedCuLDA(CuLDA):
         redist = {}
         for n in hosts:
             machine = self.machines[n]
-            view_host = self._as_phi_dtype(views[n], kcfg)
             t_a = self._t_prev_node[n]
-            for w in self._node_workers[n]:
-                machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload,
-                    label="h2d:phi_global",
-                )
-                self._launch_nk(w, kcfg)
+            self._upload_phi(
+                machine, self._node_workers[n], self._as_phi_dtype(views[n]),
+                "h2d:phi_global",
+            )
             t_b = machine.synchronize()
             redist[n] = t_b - t_a
             self._t_prev_node[n] = t_b
@@ -477,14 +438,6 @@ class DistributedCuLDA(CuLDA):
             max(done.values()) - max(ready.values()) if sync_round else 0.0
         )
 
-        # --- stats (same aggregation as the single-machine trainer) ----
-        runtimes = self._runtimes
-        kd = np.array([r.last_stats.mean_kd for r in runtimes])
-        p1 = np.array([r.last_stats.p1_fraction for r in runtimes])
-        weights = np.array([r.chunk.num_tokens for r in runtimes], dtype=float)
-        weights /= weights.sum()
-        tps = self.corpus.num_tokens / dt_iter if dt_iter > 0 else 0.0
-
         sync_seconds, p2p_bytes = 0.0, 0.0
         busy: dict[str, float] = {}
         for n in hosts:
@@ -498,64 +451,21 @@ class DistributedCuLDA(CuLDA):
             p2p_bytes += p
             for d, f in b.items():
                 busy[f"{n}.{d}"] = f
-
-        emit_observe(
-            "iteration_sim_seconds", dt_iter,
-            help="simulated duration of one training iteration",
-        )
-        emit_gauge(
-            "train_tokens_per_sec", tps,
-            help="simulated sampling throughput (Eq 2)",
-        )
-        for dev, f in busy.items():
-            emit_gauge(
-                "device_busy_fraction", f,
-                help="device busy share of the last iteration",
-                device=dev,
-            )
-        return IterationOutcome(
-            sim_seconds=dt_iter,
-            tokens_per_sec=tps,
+        return self._outcome(
+            dt_iter, busy,
+            {"sync_seconds": sync_seconds + net_seconds, "p2p_bytes": p2p_bytes},
             stats={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
                 "network_seconds": net_seconds,
                 "compute_seconds": max(dt_intra.values()),
             },
-            sync_event={
-                "sync_seconds": sync_seconds + net_seconds,
-                "p2p_bytes": p2p_bytes,
-            },
-            event={
-                "mean_kd": float(kd @ weights),
-                "p1_fraction": float(p1 @ weights),
-                "sync_round": sync_round,
-                "internode_bytes": internode_bytes,
-                "device_busy_fraction": busy,
-                "phi": lambda g=self._global_phi: g.astype(np.int32).copy(),
-            },
+            event={"sync_round": sync_round, "internode_bytes": internode_bytes},
         )
 
-    def log_likelihood(self, state: RunState) -> float:
-        if self.num_nodes == 1:
-            return super().log_likelihood(state)
-        with span("likelihood"):
-            hyper = self._hyper
-            phi = self._global_phi
-            n_k = phi.sum(axis=1)
-            ll = word_log_likelihood(phi, n_k, hyper, self.corpus.num_words)
-            for r in self._runtimes:
-                ll += _doc_log_likelihood(r.theta, r.chunk.doc_lengths, hyper)
-            return ll / self.corpus.num_tokens
+    def _synced_phi(self) -> np.ndarray:
+        return self._global_phi
 
     def capture_state(self, state: RunState) -> None:
-        if self.num_nodes == 1:
-            super().capture_state(state)
-            return
-        state.phi = self._global_phi.astype(np.int32).copy()
-        state.topics = [r.topics for r in self._runtimes]
-        state.thetas = [r.theta for r in self._runtimes]
-        state.rngs = [r.rng for r in self._runtimes]
+        super().capture_state(state)
         state.extras["dist_net_base"] = np.array(
             [self._net_base + self.network.total_bytes()]
         )
@@ -585,27 +495,15 @@ class DistributedCuLDA(CuLDA):
                 state.extras[f"dist_node_base_{n}"] = self._node_base[n].copy()
 
     def check_invariants(self, state: RunState) -> list[str]:
-        if self.num_nodes == 1:
-            return super().check_invariants(state)
-        out: list[str] = []
-        for n, workers in enumerate(self._node_workers):
-            if not workers:  # dead node / work migrated away
-                continue
-            ref = workers[0].phi_full.data
-            for w in workers[1:]:
-                if not np.array_equal(w.phi_full.data, ref):
-                    out.append(
-                        f"phi replica on node {n} GPU {w.device.device_id} "
-                        f"diverges from GPU {workers[0].device.device_id}"
-                    )
-        return out
+        return [
+            msg
+            for n, workers in enumerate(self._node_workers)
+            if workers  # empty on a dead node / one whose work migrated
+            for msg in self._replica_divergence(workers, f"node {n} ")
+        ]
 
     def finalize(self, state: RunState, wall_seconds: float) -> TrainResult:
-        if self.num_nodes == 1:
-            return super().finalize(state, wall_seconds)
         N, G = self.num_nodes, self.gpus_per_node
-        hyper, plan = self._hyper, self._plan
-        runtimes = self._runtimes
 
         # Final collection per node (Alg 1 lines 17-20 / 35).
         tail = 0.0
@@ -615,13 +513,10 @@ class DistributedCuLDA(CuLDA):
             machine.memcpy_d2h(
                 workers[0].phi_full, stream=workers[0].download, label="d2h:phi"
             )
-            if self._node_resident[n]:
-                local = self._node_runtimes[n]
-                for j, w in enumerate(workers):
-                    download_chunk(
-                        machine, w, local[j],
-                        self._node_dev_chunks[n][j],
-                    )
+            for w, rt, dc in zip(
+                workers, self._node_runtimes[n], self._node_dev_chunks[n]
+            ):
+                download_chunk(machine, w, rt, dc)
             t_fin = machine.synchronize()
             tail = max(tail, t_fin - self._t_prev_node[n])
         total_sim = self._sim_base + self._cluster_time + tail
@@ -637,62 +532,28 @@ class DistributedCuLDA(CuLDA):
             k: (v / grand if grand > 0 else 0.0) for k, v in by_kind.items()
         }
 
-        phi_final = self._global_phi.astype(np.int32).copy()
-        theta_final = SparseTheta.concatenate(
-            [r.theta for r in runtimes], hyper.num_topics
-        )
-        topics_final = self._merge_topics(runtimes)
-        peak = max(
-            gpu.allocator.peak_bytes
-            for machine in self.machines for gpu in machine.gpus
+        result = self._result(
+            state, wall_seconds, self.machines, total_sim, breakdown,
+            machine_name=f"{N}x {self.machines[0].name}",
+            num_gpus=N * G,
+            num_workers=N,
+            network_bytes=self._net_base + self.network.total_bytes(),
         )
         for n in range(N):
             for dc in self._node_dev_chunks[n]:
                 dc.free_all()
             for w in self._node_workers[n]:
                 w.free_all()
-        self._peak_device_bytes = peak
-
-        return TrainResult(
-            corpus_name=self.corpus.name,
-            machine_name=f"{N}x {self.machines[0].name}",
-            num_gpus=N * G,
-            num_tokens=self.corpus.num_tokens,
-            plan_chunks=plan.num_chunks,
-            chunks_per_gpu=plan.chunks_per_gpu,
-            iterations=list(state.history),
-            total_sim_seconds=total_sim,
-            wall_seconds=wall_seconds,
-            breakdown=breakdown,
-            phi=phi_final,
-            theta=theta_final,
-            hyper=hyper,
-            peak_device_bytes=peak,
-            topics=topics_final,
-            algo=self.name,
-            num_workers=N,
-            network_bytes=self._net_base + self.network.total_bytes(),
-        )
+        return result
 
     # ------------------------------------------------------------------
     # Recovery surface
     # ------------------------------------------------------------------
     def rollback(self, state: RunState) -> None:
-        if self.num_nodes == 1:
-            super().rollback(state)
-            return
-        hyper, kcfg = self._hyper, self._kcfg
-        runtimes = self._runtimes
-        if len(state.topics) != len(runtimes) or state.thetas is None:
-            raise ValueError("rollback state does not match the live chunk layout")
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        for i, rt in enumerate(runtimes):
-            rt.topics = state.topics[i].astype(dtype, copy=False)
-            rt.theta = state.thetas[i]
-            rt.rng = state.rngs[i]
+        self._reinstall(state, "rollback")
         N = self.num_nodes
-        node_counts = [self._node_phi_counts(n) for n in range(N)]
-        global_phi = self._sum_counts(node_counts)
+        node_counts = [self._count_phi(rs) for rs in self._node_runtimes]
+        global_phi = sum(node_counts)
         cache, base = self._resolve_dist_extras(state, N, node_counts, global_phi)
         self._phi_cache, self._node_base = cache, base
         self._node_counts, self._global_phi = node_counts, global_phi
@@ -701,29 +562,23 @@ class DistributedCuLDA(CuLDA):
         advance = 0.0
         for n in self._host_nodes:
             machine = self.machines[n]
-            view_host = self._as_phi_dtype(cache + node_counts[n] - base[n], kcfg)
-            for w in self._node_workers[n]:
-                machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload,
-                    label="h2d:phi_rollback",
-                )
-                self._launch_nk(w, kcfg)
-            if self._node_resident[n]:
-                local = self._node_runtimes[n]
-                for j, w in enumerate(self._node_workers[n]):
-                    dc, rt = self._node_dev_chunks[n][j], local[j]
-                    machine.memcpy_h2d(
-                        dc.topics, rt.topics, stream=w.upload,
-                        label=f"h2d:chunk{rt.chunk_id}.topics_rollback",
-                    )
-                    dc.replace_theta(w.device, rt.theta, f"chunk{rt.chunk_id}")
+            workers = self._node_workers[n]
+            self._upload_phi(
+                machine, workers,
+                self._as_phi_dtype(cache + node_counts[n] - base[n]),
+                "h2d:phi_rollback",
+            )
+            self._reupload_resident(
+                machine, workers, self._node_runtimes[n],
+                self._node_dev_chunks[n],
+            )
             t_now = machine.synchronize()
             advance = max(advance, t_now - self._t_prev_node[n])
             self._t_prev_node[n] = t_now
         # Recovery time stays on the (global) clock.
         self._cluster_time += advance
         self._iter_index = state.iteration
-        state.phi = global_phi.astype(np.int32).copy()
+        state.phi = global_phi.astype(np.int32)
 
     def handle_device_loss(self, state: RunState) -> None:
         """Elastic recovery for the hierarchical trainer.
@@ -751,9 +606,6 @@ class DistributedCuLDA(CuLDA):
         the replicated server. All recovery traffic stays on the
         simulated clock.
         """
-        if self.num_nodes == 1:
-            super().handle_device_loss(state)
-            return
         N, W = self.num_nodes, self.num_workers
         M = self._plan.chunks_per_gpu
         t_start = self._cluster_time
@@ -787,23 +639,7 @@ class DistributedCuLDA(CuLDA):
             sum(self._runtimes[m * W + w].chunk.num_tokens for m in range(M))
             for w in range(W)
         ]
-        load = {n: 0 for n in survivors}
-        for w in range(W):
-            if hosting[w] in load:
-                load[hosting[w]] += wtok[w]
-        for w in range(W):
-            if hosting[w] in survivors:
-                continue
-            target = min(survivors, key=lambda n: (load[n], n))
-            emit_counter(
-                "workers_migrated_total", 1,
-                help="Logical CuLDA workers migrated off dead cluster "
-                     "nodes onto token-lightest survivors.",
-                worker=str(w), to_node=str(target),
-            )
-            hosting[w] = target
-            load[target] += wtok[w]
-        self._worker_node = hosting
+        self._worker_node = migrate_workers(hosting, wtok, survivors)
         self._dead_nodes = dead
 
         # Tear down every node's device state and rebuild it under the
@@ -815,8 +651,8 @@ class DistributedCuLDA(CuLDA):
                 w.free_all()
         self._node_runtimes = self._hosted_runtimes()
         self._host_nodes = [n for n in range(N) if self._node_runtimes[n]]
-        node_counts = [self._node_phi_counts(n) for n in range(N)]
-        global_phi = self._sum_counts(node_counts)
+        node_counts = [self._count_phi(rs) for rs in self._node_runtimes]
+        global_phi = sum(node_counts)
         # Fresh sync point: the recount covers every token's current
         # assignment, so any open staleness window — including the dead
         # node's — is drained exactly once.
@@ -830,8 +666,6 @@ class DistributedCuLDA(CuLDA):
             _, done = self.server.reshard(self._phi_cache, self._cluster_time)
             self._cluster_time = max(self._cluster_time, done)
             self._park_plan()
-        self._workers = self._node_workers[self._host_nodes[0]]
-        self._dev_chunks = self._node_dev_chunks[self._host_nodes[0]]
 
         stall = self._cluster_time - t_start
         if stall > 0:
@@ -887,14 +721,11 @@ class DistributedCuLDA(CuLDA):
             ]
             if not workers:
                 raise FaultError(f"node {n} hosts work but has no alive GPUs")
-            view_host = self._as_phi_dtype(
-                cache + self._node_counts[n] - base[n], kcfg
+            self._upload_phi(
+                machine, workers,
+                self._as_phi_dtype(cache + self._node_counts[n] - base[n]),
+                label,
             )
-            for w in workers:
-                machine.memcpy_h2d(
-                    w.phi_full, view_host, stream=w.upload, label=label
-                )
-                self._launch_nk(w, kcfg)
             resident = len(local) == len(workers)
             dev_chunks = []
             if resident:
@@ -916,24 +747,20 @@ class DistributedCuLDA(CuLDA):
     def _restore_dist(self, state: RunState) -> None:
         """Reinstall a known-good snapshot ahead of a re-partition:
         topic assignments, θ, RNG streams, the hosting map, and the
-        buried node set (re-failed on the network and re-declared to
-        the detector so the restored run matches the one that
-        crashed)."""
-        hyper, kcfg = self._hyper, self._kcfg
-        runtimes = self._runtimes
-        if len(state.topics) != len(runtimes) or state.thetas is None:
-            raise ValueError("snapshot does not match the live chunk layout")
-        dtype = hyper.topic_dtype(kcfg.compressed)
-        for i, rt in enumerate(runtimes):
-            rt.topics = state.topics[i].astype(dtype, copy=False)
-            rt.theta = state.thetas[i]
-            rt.rng = state.rngs[i]
+        buried node set."""
+        self._reinstall(state, "snapshot")
         hosting = state.extras.get("dist_worker_node")
         if hosting is not None and len(hosting) == self.num_workers:
             self._worker_node = [int(x) for x in np.asarray(hosting)]
         dead = state.extras.get("dist_dead_nodes")
         if dead is not None:
             self._dead_nodes = {int(x) for x in np.asarray(dead)}
+        self._rebury_dead_nodes()
+
+    def _rebury_dead_nodes(self) -> None:
+        """Fail the nodes a checkpointed or snapshotted run had already
+        lost, on the network and in the failure detector, so the
+        restored run matches the one that wrote the state."""
         for n in sorted(self._dead_nodes):
             if self.network.node_alive(n):
                 self.network.fail_node(n)
@@ -950,30 +777,6 @@ class DistributedCuLDA(CuLDA):
         )
         for n in range(self.num_nodes):
             self.server.park(f"node_base_{n}", self._node_base[n])
-
-    def _node_phi_counts(self, node: int) -> np.ndarray:
-        """Node *node*'s exact φ contribution (int64), recounted from
-        its chunks' current topic assignments."""
-        K = self._hyper.num_topics
-        counts = np.zeros((K, self.corpus.num_words), dtype=np.int64)
-        for r in self._node_runtimes[node]:
-            counts += accumulate_phi(r.chunk, r.topics, K)
-        return counts
-
-    @staticmethod
-    def _sum_counts(node_counts: list[np.ndarray]) -> np.ndarray:
-        total = np.zeros_like(node_counts[0])
-        for c in node_counts:
-            total += c
-        return total
-
-    @staticmethod
-    def _as_phi_dtype(phi: np.ndarray, kcfg) -> np.ndarray:
-        if kcfg.compressed:
-            if phi.max(initial=0) >= 2**16:
-                raise OverflowError("φ overflows 16-bit compression")
-            return phi.astype(np.uint16)
-        return phi.astype(np.int32)
 
     def _resolve_dist_extras(
         self,

@@ -38,7 +38,7 @@ from repro.telemetry.exporters import (
     parse_prometheus_text,
     to_prometheus,
 )
-from repro.telemetry.mixin import TelemetryMixin
+from repro.engine.hooks import TelemetryMixin
 from repro.telemetry.registry import (
     Counter,
     Gauge,

@@ -1,7 +1,7 @@
 """The trainer hook protocol and built-in callbacks.
 
 Trainers (CuLDA and the baselines, via
-:class:`~repro.telemetry.mixin.TelemetryMixin`) fire four hooks, each
+:class:`~repro.engine.hooks.TelemetryMixin`) fire four hooks, each
 with one plain-dict event payload:
 
 - ``on_train_start(event)`` — once, before iteration 0. Keys: corpus

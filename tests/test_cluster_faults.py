@@ -1,7 +1,8 @@
 """Chaos suite for the cluster fault domain (docs/ROBUSTNESS.md §8).
 
 Covers the heartbeat membership FSM, fault-aware Ethernet sends,
-parameter-server replication/failover/repair, elastic node-loss
+parameter-server replication/failover/repair, the token-lightest
+worker placement shared by both multi-node trainers, elastic node-loss
 recovery on the LDA* trainer (bit-identical to the fault-free run),
 and the structured failures produced when recovery is off.
 """
@@ -12,16 +13,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
+from repro.cluster.placement import migrate_workers, token_lightest_moves
 from repro.comm.topology import Topology
 from repro.engine.recovery import ClusterRecoveryPolicy, TrainingFailure
 from repro.faults.plan import FaultPlan, FaultSpec, cluster_chaos_plan
 from repro.gpusim.errors import DeviceLost, NodeLost, SyncPathError
 from repro.baselines.ldastar import LDAStar
+from repro.telemetry import MetricsRegistry
 
 
 def make_server(num_nodes=4, K=6, V=40, seed=0):
@@ -221,6 +226,59 @@ class TestParameterServerReplication:
         assert server.bytes_resharded == bytes_moved
 
 
+@st.composite
+def placements(draw):
+    """(hosting, tokens, survivors) over up to 6 nodes and 12 workers."""
+    num_nodes = draw(st.integers(min_value=1, max_value=6))
+    num_workers = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    hosting = draw(st.lists(node, min_size=num_workers, max_size=num_workers))
+    tokens = draw(st.lists(
+        st.integers(min_value=0, max_value=1_000),
+        min_size=num_workers, max_size=num_workers,
+    ))
+    survivors = sorted(draw(st.sets(node, min_size=1)))
+    return hosting, tokens, survivors
+
+
+class TestPlacementProperties:
+    @given(placements())
+    @settings(max_examples=200, deadline=None)
+    def test_token_lightest_migration(self, case):
+        hosting, tokens, survivors = case
+        moves = token_lightest_moves(hosting, tokens, survivors)
+        placed = migrate_workers(hosting, tokens, survivors)
+
+        # Survivors' workers stay; every orphan moves, once, in worker
+        # order, onto a survivor.
+        orphans = [w for w, n in enumerate(hosting) if n not in survivors]
+        assert [w for w, _ in moves] == orphans
+        for w, n in enumerate(hosting):
+            if n in survivors:
+                assert placed[w] == n
+        assert all(placed[w] in survivors for w in orphans)
+
+        # Each move targets the survivor with the smallest (load, node)
+        # at that moment.
+        load = {n: 0 for n in survivors}
+        for w, n in enumerate(hosting):
+            if n in load:
+                load[n] += tokens[w]
+        for w, target in moves:
+            assert placed[w] == target
+            assert all((load[target], target) <= (load[n], n) for n in survivors)
+            load[target] += tokens[w]
+
+        # Tokens are conserved and the plan is deterministic.
+        assert sum(load.values()) == sum(tokens)
+        hosted = {n: 0 for n in survivors}
+        for w, n in enumerate(placed):
+            hosted[n] += tokens[w]
+        assert hosted == load
+        assert token_lightest_moves(hosting, tokens, survivors) == moves
+        assert migrate_workers(hosting, tokens, survivors) == placed
+
+
 def small_star(corpus, hyper, **kwargs):
     kwargs.setdefault("num_workers", 4)
     kwargs.setdefault("seed", 0)
@@ -310,6 +368,27 @@ class TestElasticNodeLoss:
         assert any(
             e["kind"] == "shard_repair" for e in star.server.events
         )
+
+    def test_migrations_counted_as_workers_migrated(
+        self, small_corpus, hyper8
+    ):
+        """LDA* counts a migration under the same family, with the same
+        string labels, as multi-node CuLDA (regression: it used to emit
+        ``node_migrations_total`` with int labels)."""
+        registry = MetricsRegistry()
+        star = small_star(small_corpus, hyper8, registry=registry)
+        star.train(
+            iterations=6, recovery="elastic",
+            fault_plan=cluster_chaos_plan(4),
+        )
+        moved = {
+            str(w): str(n) for w, n in enumerate(star._node_of) if n != w
+        }
+        assert moved
+        samples = registry.get("workers_migrated_total").samples()
+        assert {s.labels["worker"]: s.labels["to_node"] for s in samples} == moved
+        assert sum(s.value for s in samples) == len(moved)
+        assert "node_migrations_total" not in registry
 
     def test_elastic_run_charges_recovery_time(self, small_corpus, hyper8):
         clean = small_star(small_corpus, hyper8).train(iterations=6)

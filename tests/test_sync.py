@@ -8,7 +8,7 @@ import pytest
 from repro.core.kernels import KernelConfig
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.platform import pascal_platform
-from repro.sched.sync import broadcast_phi, cpu_gather_sync, reduce_phi_tree
+from repro.comm.collectives import broadcast_phi, cpu_gather_sync, reduce_phi_tree
 
 
 def _setup(machine, K=8, V=20, dtype=np.int32, seed=0):
@@ -115,7 +115,7 @@ class TestCpuGather:
 class TestRingAllReduce:
     @pytest.mark.parametrize("num_gpus", [1, 2, 3, 4])
     def test_all_gpus_hold_full_sum(self, num_gpus):
-        from repro.sched.sync import ring_allreduce_phi
+        from repro.comm.collectives import ring_allreduce_phi
 
         m = pascal_platform(num_gpus)
         partials, scratch, fulls, streams, expected = _setup(m)
@@ -127,7 +127,7 @@ class TestRingAllReduce:
             assert np.array_equal(p.data, expected.astype(p.dtype))
 
     def test_frees_staging_buffers(self):
-        from repro.sched.sync import ring_allreduce_phi
+        from repro.comm.collectives import ring_allreduce_phi
 
         m = pascal_platform(4)
         partials, scratch, fulls, streams, _ = _setup(m)
@@ -138,7 +138,7 @@ class TestRingAllReduce:
         assert before == after
 
     def test_mismatched_lengths_rejected(self):
-        from repro.sched.sync import ring_allreduce_phi
+        from repro.comm.collectives import ring_allreduce_phi
 
         m = pascal_platform(2)
         partials, scratch, fulls, streams, _ = _setup(m)
@@ -190,7 +190,7 @@ class TestSyncAlgorithmEquivalence:
         """At G=4 with a large φ, the ring's per-link volume
         (2·3/4 replicas) undercuts the tree's (log2(4)+log2(4) = 4 × a
         full replica through the busiest link is worse)."""
-        from repro.sched.sync import ring_allreduce_phi
+        from repro.comm.collectives import ring_allreduce_phi
 
         cfg = KernelConfig()
         m1 = pascal_platform(4)

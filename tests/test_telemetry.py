@@ -558,3 +558,32 @@ class TestReportMetrics:
         assert "sampler_tokens_total" in md
         # Without a registry the section is absent (back-compat).
         assert "## Metrics" not in render_markdown(result)
+
+
+# ----------------------------------------------------------------------
+# Metric catalogue: every emitted family is documented
+# ----------------------------------------------------------------------
+
+class TestMetricCatalogue:
+    def test_every_emitted_family_is_in_observability_md(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        src = Path(repro.__file__).parent
+        doc = (src.parents[1] / "docs" / "OBSERVABILITY.md").read_text()
+        emitters = {"emit_counter", "emit_gauge", "emit_gauge_max", "emit_observe"}
+        families = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in emitters
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    families.add(node.args[0].value)
+        assert "workers_migrated_total" in families  # the scan sees calls
+        missing = sorted(f for f in families if f"`{f}`" not in doc)
+        assert not missing, f"undocumented metric families: {missing}"
