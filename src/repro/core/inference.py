@@ -178,9 +178,10 @@ def held_out_log_likelihood(
         )
     _check_word_ids(corpus, phi.shape[1])
     beta, V = hyper.beta, phi.shape[1]
-    word_dist = (phi + beta) / (n_k + beta * V)[:, None]  # (K, V)
+    # The smoothed word distribution over the request's own words only.
+    present, words = np.unique(corpus.token_word, return_inverse=True)
+    word_dist = (phi[:, present] + beta) / (n_k + beta * V)[:, None]
     docs = corpus.token_doc.astype(np.int64)
-    words = corpus.token_word.astype(np.int64)
     # p(w_i) = θ row · φ column, batched in slabs to bound memory.
     total = 0.0
     step = 1 << 18

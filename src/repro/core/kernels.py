@@ -84,8 +84,8 @@ class KernelConfig:
     reuse_pstar: bool = True
     compressed: bool = True
     tree_fanout: int = 32
-    #: Max flat (token × K_d) expansion entries held at once by the
-    #: functional sampler; bounds host memory, no effect on results.
+    #: Max (pair × K) p₁-table entries held at once by the functional
+    #: sampler; bounds host memory, no effect on results.
     token_slab: int = 1 << 22
 
     @property
@@ -140,14 +140,12 @@ def tree_search_levels(num_leaves: np.ndarray | int, fanout: int) -> np.ndarray:
     integer repeated division so float log round-off near exact powers
     of R can never misreport a level.
     """
-    n = np.atleast_1d(np.asarray(num_leaves, dtype=np.int64)).copy()
+    n = np.atleast_1d(np.asarray(num_leaves, dtype=np.int64))
     levels = np.zeros(n.shape, dtype=np.int64)
-    while True:
-        live = n > 1
-        if not live.any():
-            return levels
-        levels[live] += 1
-        n[live] = -(-n[live] // fanout)
+    while (live := n > 1).any():
+        levels += live
+        n = -(-n // fanout)   # ceil division; leaves 0 and 1 fixed
+    return levels
 
 
 def sampling_launch_plan(word_indptr: np.ndarray) -> tuple[int, int]:
@@ -190,112 +188,97 @@ def gibbs_sample_chunk(
 
     The vectorization reproduces the S/Q control flow exactly:
 
-    1. p*(k, v) for all words (the shared sub-expression, staged per
+    1. p*(k, w), Q = α·Σ_k p* and the p₂ prefix sums for the chunk's
+       present words only (the shared sub-expression, staged per
        word-block in the real kernel);
-    2. per-token S by gathering the document's θ row against p*'s word
-       column (the "compute S & build p₁ tree" step);
+    2. per (document, word) pair — a run of equal (word, doc) in the
+       word-sorted chunk — one p₁ table: the prefix sums of the dense θ
+       row times the word's p* row in topic order, whose last entry is
+       S (the "compute S & build p₁ tree" step, shared by every token of
+       the pair);
     3. one uniform draw per token over mass S + Q;
-    4. sparse-branch tokens search their θ-row prefix sums (p₁ tree),
-       dense-branch tokens search their word's p₂ prefix sums (the
-       shared p₂ tree).
+    4. sparse-branch tokens take the first entry of their pair's p₁
+       table above the draw (zero θ entries add exactly, so only the
+       document's topics can be hit); dense-branch tokens search their
+       word's p₂ prefix sums (the shared p₂ tree).
     """
     config = config or KernelConfig()
     K, V = hyper.num_topics, chunk.num_words
-    alpha, beta = hyper.alpha, hyper.beta
     T = chunk.num_tokens
     if T == 0:
         return topics.copy(), SamplingStats(0, 0, 0, 1, 1)
 
-    # --- shared sub-expression p*(k, v) and dense-branch masses -------
-    pstar = (phi.astype(np.float64) + beta) / (
-        n_k.astype(np.float64) + beta * V
-    )[:, None]
-    q_col = alpha * pstar.sum(axis=0)          # Q per word
-    q_cum = alpha * np.cumsum(pstar, axis=0)   # p2 prefix sums per word
+    # --- p*(w, k), Q and p₂ prefix sums, word-major over present words
+    present = chunk.words_present()
+    pstar = (phi.T[present].astype(np.float64) + hyper.beta) / (
+        n_k.astype(np.float64) + hyper.beta * V
+    )
+    q_cum = hyper.alpha * np.cumsum(pstar, axis=1)
+    q_word = q_cum[:, -1]  # Q as the last p₂ prefix sum: both sum alike
 
-    token_word = chunk.token_word_expanded().astype(np.int64)
-    token_doc = chunk.token_doc.astype(np.int64)
-    t_ip, t_idx, t_cnt = theta.indptr, theta.indices.astype(np.int64), theta.data
+    # --- (document, word) pairs: runs of equal (word, doc) in token order.
+    # Same-word tokens keep document order, so each pair is one run; a
+    # pair split into several runs would only cost a repeated table.
+    docs = chunk.token_doc
+    word_of = np.repeat(
+        np.arange(present.size), np.diff(chunk.word_indptr)[present]
+    )
+    new_pair = np.empty(T, dtype=bool)
+    new_pair[0] = True
+    np.not_equal(docs[1:], docs[:-1], out=new_pair[1:])
+    new_pair[chunk.word_indptr[present]] = True
+    pair_of = np.cumsum(new_pair) - 1
+    pair_first = np.append(np.flatnonzero(new_pair), T)
+    pair_doc = docs[pair_first[:-1]]
+    pair_word = word_of[pair_first[:-1]]
 
-    new_topics = np.empty(T, dtype=np.int64)
     u_all = rng.random(T)
+    new_topics = np.empty(T, dtype=topics.dtype)
+    sparse = np.empty(T, dtype=bool)
 
-    kd_sum = 0
-    p1_draws = 0
-    probe_levels = 0
-    # Every dense draw searches the word's shared p₂ tree over K leaves.
-    dense_levels = int(tree_search_levels(K, config.tree_fanout)[0])
-
-    # Slab over tokens so the (token × K_d) expansion stays bounded.
-    row_len_all = t_ip[token_doc + 1] - t_ip[token_doc]
-    slab_edges = _slab_edges(row_len_all, config.token_slab)
-    for lo, hi in slab_edges:
-        docs = token_doc[lo:hi]
-        words = token_word[lo:hi]
-        L = row_len_all[lo:hi]
-        n = hi - lo
-
-        # Flat expansion of each token's θ row.
-        total = int(L.sum())
-        kd_sum += total
-        row_start = np.concatenate(([0], np.cumsum(L)))  # per-token offsets
-        base = np.repeat(t_ip[docs], L)
-        within = np.arange(total, dtype=np.int64) - np.repeat(row_start[:-1], L)
-        flat_pos = base + within
-        k_flat = t_idx[flat_pos]
-        vals = t_cnt[flat_pos] * pstar[k_flat, np.repeat(words, L)]
+    # Slab over pairs so at most token_slab (pair × K) entries are live.
+    W = present.size
+    step = max(1, config.token_slab // K)
+    for p_lo in range(0, pair_doc.size, step):
+        p_hi = min(p_lo + step, pair_doc.size)
+        lo, hi = pair_first[p_lo], pair_first[p_hi]
+        # One search table: the p₂ prefix sums, then this slab's p₁ tables.
+        table = np.empty((W + p_hi - p_lo, K))
+        table[:W] = q_cum
+        p1_cum = table[W:]
+        p1_cum[...] = pstar[pair_word[p_lo:p_hi]]
+        rows, inv = np.unique(pair_doc[p_lo:p_hi], return_inverse=True)
+        p1_cum *= theta.dense_rows(rows)[inv]
+        np.cumsum(p1_cum, axis=1, out=p1_cum)
+        S = p1_cum[:, -1]
+        mass = S + q_word[pair_word[p_lo:p_hi]]
 
         # Masses and the branch draw.
-        cs = np.cumsum(vals)
-        seg_end = row_start[1:] - 1
-        S = cs[seg_end] - np.concatenate(([0.0], cs[seg_end[:-1]]))
-        Q = q_col[words]
-        target = u_all[lo:hi] * (S + Q)
-        sparse_mask = target < S
-        p1_draws += int(sparse_mask.sum())
-        # p₁ trees span each token's K_d leaves; p₂ trees span K.
-        probe_levels += int(
-            tree_search_levels(L[sparse_mask], config.tree_fanout).sum()
+        local = pair_of[lo:hi] - p_lo
+        target = u_all[lo:hi] * mass[local]
+        s_tok = S[local]
+        is_p1 = target < s_tok
+        sparse[lo:hi] = is_p1
+        hit = _first_above(
+            table,
+            np.where(is_p1, W + local, word_of[lo:hi]),
+            np.where(is_p1, target, target - s_tok),
         )
-        probe_levels += dense_levels * int((~sparse_mask).sum())
+        # Round-off guard: if no p₂ entry exceeded, take the top.
+        new_topics[lo:hi] = np.minimum(hit, K - 1)
 
-        # --- p₁ branch: search within the token's θ-row segment -------
-        if sparse_mask.any():
-            t_idx_local = np.nonzero(sparse_mask)[0]
-            seg_base = np.concatenate(([0.0], cs[seg_end[:-1]]))[t_idx_local]
-            # Global-cumsum trick: vals > 0 strictly, so the hit stays
-            # inside the token's own segment.
-            j = np.searchsorted(cs, seg_base + target[t_idx_local], side="right")
-            j = np.minimum(j, seg_end[t_idx_local])
-            j = np.maximum(j, row_start[:-1][t_idx_local])
-            new_topics[lo + t_idx_local] = k_flat[j]
-
-        # --- p₂ branch: search the word's dense prefix sums -----------
-        dense_mask = ~sparse_mask
-        if dense_mask.any():
-            d_idx_local = np.nonzero(dense_mask)[0]
-            resid = target[d_idx_local] - S[d_idx_local]
-            cols = words[d_idx_local]
-            # Column-gather in sub-slabs: (K, m) blocks.
-            step = max(1, (1 << 22) // max(K, 1))
-            for s in range(0, d_idx_local.size, step):
-                sel = slice(s, min(s + step, d_idx_local.size))
-                block = q_cum[:, cols[sel]]             # (K, m)
-                hit = (block > resid[sel][None, :]).argmax(axis=0)
-                # Round-off guard: if no entry exceeded, take the top.
-                none = block[-1, np.arange(block.shape[1])] <= resid[sel]
-                hit[none] = K - 1
-                new_topics[lo + d_idx_local[sel]] = hit
-
-    out = new_topics.astype(topics.dtype)
+    # p₁ trees span each token's K_d leaves; p₂ trees span K.
+    row_len = theta.row_lengths()
+    levels = tree_search_levels(np.append(row_len, K), config.tree_fanout)
+    probes = levels[np.where(sparse, docs, row_len.size)]
     num_blocks, num_segments = sampling_launch_plan(chunk.word_indptr)
     stats = SamplingStats(
         num_tokens=T,
-        kd_sum=int(kd_sum),
-        p1_draws=int(p1_draws),
+        kd_sum=int(row_len[docs].sum()),
+        p1_draws=int(sparse.sum()),
         num_word_segments=num_segments,
         num_blocks=num_blocks,
-        tree_probe_levels=int(probe_levels),
+        tree_probe_levels=int(probes.sum()),
     )
     emit_counter(
         "sampler_tokens_total", T, help="tokens drawn by the sampling kernel"
@@ -316,24 +299,26 @@ def gibbs_sample_chunk(
         "sampler_tree_probe_levels_total", stats.tree_probe_levels,
         help="index-tree search levels descended across all draws",
     )
-    return out, stats
+    return new_topics, stats
 
 
-def _slab_edges(row_len: np.ndarray, slab: int) -> list[tuple[int, int]]:
-    """Token ranges whose flat expansions each stay under *slab* entries
-    (a single over-*slab* token still gets its own range)."""
-    T = row_len.size
-    csum = np.cumsum(row_len)
-    edges: list[tuple[int, int]] = []
-    lo = 0
-    mass_before = 0
-    while lo < T:
-        hi = int(np.searchsorted(csum, mass_before + slab, side="right"))
-        hi = max(hi, lo + 1)
-        edges.append((lo, hi))
-        mass_before = int(csum[hi - 1])
-        lo = hi
-    return edges
+def _first_above(
+    table: np.ndarray, rows: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Index of the first entry of ``table[rows[i]]`` above ``x[i]``, or
+    the row length when none is: a branch-free binary search over
+    non-decreasing rows, one gathered probe per row and level."""
+    K = table.shape[1]
+    flat = table.ravel()
+    start = rows * K
+    pos = start.copy()
+    # The answer lies in [pos, pos + n - 1]; each probe halves n.
+    n = K + 1
+    while n > 1:
+        half = n // 2
+        np.add(pos, half, out=pos, where=flat[pos + (half - 1)] <= x)
+        n -= half
+    return pos - start
 
 
 def recount_theta(
@@ -359,17 +344,16 @@ def accumulate_phi(
     """Functional body of the φ-update kernel (§6.2): the chunk's
     *partial* topic–word counts (atomic adds over word-sorted tokens).
 
-    Writes into *out* (zeroed first) if given; else allocates.
+    Overwrites *out* (every entry, zeros included) if given; else
+    allocates. One ``bincount`` over flat ``topic·V + word`` keys.
     """
     K, V = num_topics, chunk.num_words
     if out is None:
-        out = np.zeros((K, V), dtype=np.int32)
-    else:
-        if out.shape != (K, V):
-            raise ValueError("out has wrong shape")
-        out[...] = 0
-    words = chunk.token_word_expanded().astype(np.int64)
-    np.add.at(out, (topics.astype(np.int64), words), 1)
+        out = np.empty((K, V), dtype=np.int32)
+    elif out.shape != (K, V):
+        raise ValueError("out has wrong shape")
+    keys = topics.astype(np.int64) * V + chunk.token_word_expanded()
+    out[...] = np.bincount(keys, minlength=K * V).reshape(K, V)
     return out
 
 

@@ -116,9 +116,18 @@ class SparseTheta:
 
     def to_dense(self) -> np.ndarray:
         """Dense ``int32[num_docs, K]`` (tests / tiny problems only)."""
-        dense = np.zeros((self.num_docs, self.num_topics), dtype=np.int32)
-        docs = np.repeat(np.arange(self.num_docs), self.row_lengths())
-        dense[docs, self.indices.astype(np.int64)] = self.data
+        return self.dense_rows(np.arange(self.num_docs))
+
+    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Dense ``int32[len(rows), K]`` of the given rows."""
+        starts, lengths = self.indptr[rows], self.row_lengths()[rows]
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        # CSR position of each selected entry: its row's start plus its
+        # rank within the row.
+        offsets = np.cumsum(lengths) - lengths
+        flat = np.arange(owner.size) + np.repeat(starts - offsets, lengths)
+        dense = np.zeros((len(rows), self.num_topics), dtype=np.int32)
+        dense[owner, self.indices[flat]] = self.data[flat]
         return dense
 
     @classmethod
@@ -246,9 +255,8 @@ class LDAState:
         dtype = hyper.topic_dtype(compressed)
         topics = rng.integers(0, K, size=chunk.num_tokens, dtype=np.int64).astype(dtype)
         theta = SparseTheta.from_assignments(chunk, topics, K, compressed)
-        words = chunk.token_word_expanded().astype(np.int64)
-        phi = np.zeros((K, V), dtype=np.int32)
-        np.add.at(phi, (topics.astype(np.int64), words), 1)
+        keys = topics.astype(np.int64) * V + chunk.token_word_expanded()
+        phi = np.bincount(keys, minlength=K * V).reshape(K, V).astype(np.int32)
         n_k = phi.sum(axis=1, dtype=np.int64)
         return cls(chunk, topics, theta, phi, n_k, hyper)
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from repro.core.kernels import (
     BLOCK_TOKEN_CAPACITY,
     KernelConfig,
     SamplingStats,
-    _slab_edges,
     accumulate_phi,
     gibbs_sample_chunk,
     phi_reduce_cost,
@@ -302,22 +303,98 @@ class TestCosts:
         assert p.atomic_locality > 0.9  # word-sorted locality (§6.2)
 
 
-class TestSlabEdges:
-    def test_covers_all_tokens(self):
-        row_len = np.array([3, 5, 2, 8, 1])
-        edges = _slab_edges(row_len, slab=6)
-        assert edges[0][0] == 0 and edges[-1][1] == 5
-        for (a, b), (c, d) in zip(edges, edges[1:]):
-            assert b == c
-        # No slab (except forced singletons) exceeds the bound.
-        for a, b in edges:
-            if b - a > 1:
-                assert row_len[a:b].sum() <= 6
 
-    def test_oversized_single_row(self):
-        edges = _slab_edges(np.array([100]), slab=6)
-        assert edges == [(0, 1)]
+def _levels(n, fanout):
+    """Search levels of an R-way index tree over n leaves: ceil(log_R n)."""
+    levels = 0
+    while n > 1:
+        n, levels = -(-n // fanout), levels + 1
+    return levels
 
-    def test_single_slab_when_large(self):
-        edges = _slab_edges(np.array([1, 1, 1]), slab=1000)
-        assert edges == [(0, 3)]
+
+def _reference_sample(chunk, theta, phi, n_k, hyper, u, fanout, tol=1e-9):
+    """Token-at-a-time Eq 6 draw: inverse CDF over the 2K entries
+    ``[θ_d·p*_w, α·p*_w]`` with the kernel's uniform for each token.
+
+    Returns the topics, the counts the kernel reports, a mask of tokens
+    whose draw lies within *tol* (relative) of a cumulative boundary,
+    and whether any such token sits on the sparse/dense boundary.
+    """
+    K, V = hyper.num_topics, chunk.num_words
+    pstar = (phi + hyper.beta) / (n_k + hyper.beta * V)[:, None]
+    dense_theta = theta.to_dense()
+    kd = theta.row_lengths()
+    words = chunk.token_word_expanded()
+    T = chunk.num_tokens
+    topics = np.empty(T, dtype=np.int64)
+    near = np.zeros(T, dtype=bool)
+    kd_sum = p1_draws = probe_levels = 0
+    branch_tie = False
+    for t in range(T):
+        d, w = int(chunk.token_doc[t]), int(words[t])
+        cdf = np.cumsum(np.concatenate(
+            [dense_theta[d] * pstar[:, w], hyper.alpha * pstar[:, w]]
+        ))
+        x = u[t] * cdf[-1]
+        j = min(int(np.searchsorted(cdf, x, side="right")), 2 * K - 1)
+        topics[t] = j % K
+        gap = np.abs(cdf - x) <= tol * cdf[-1]
+        near[t] = gap.any()
+        branch_tie |= bool(gap[K - 1])
+        kd_sum += int(kd[d])
+        if j < K:
+            p1_draws += 1
+            probe_levels += _levels(int(kd[d]), fanout)
+        else:
+            probe_levels += _levels(K, fanout)
+    return topics, (kd_sum, p1_draws, probe_levels), near, branch_tie
+
+
+class TestAgainstReference:
+    @given(
+        docs=st.lists(
+            st.lists(st.integers(0, 7), min_size=0, max_size=12),
+            min_size=1, max_size=6,
+        ),
+        num_topics=st.integers(2, 70),
+        alpha=st.floats(0.01, 2.0),
+        beta=st.floats(0.001, 1.0),
+        heavy=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force_draw(
+        self, docs, num_topics, alpha, beta, heavy, seed
+    ):
+        """Every token's topic and every reported count equals a
+        brute-force inverse-CDF draw with the same uniforms; a heavy
+        document (~10⁶× another's θ mass) must not disturb its
+        neighbours' draws."""
+        from repro.corpus.corpus import Corpus
+
+        corpus = Corpus.from_documents(docs, num_words=8)
+        assume(corpus.num_tokens > 0)
+        chunk = corpus.to_chunk()
+        hyper = LDAHyperParams(num_topics=num_topics, alpha=alpha, beta=beta)
+        gen = np.random.default_rng(seed)
+        topics = gen.integers(0, num_topics, chunk.num_tokens).astype(np.uint16)
+        theta = SparseTheta.from_assignments(chunk, topics, num_topics)
+        if heavy:
+            data = theta.data.copy()
+            data[theta.indptr[0] : theta.indptr[1]] *= 10**6
+            theta = SparseTheta(theta.indptr, theta.indices, data, num_topics)
+        phi = gen.integers(0, 20, (num_topics, 8)).astype(np.int32)
+        n_k = phi.sum(axis=1, dtype=np.int64) + gen.integers(0, 50, num_topics)
+        config = KernelConfig(token_slab=int(gen.integers(1, 4 * num_topics)))
+
+        out, stats = gibbs_sample_chunk(
+            chunk, topics, theta, phi, n_k, hyper,
+            np.random.default_rng(seed), config,
+        )
+        u = np.random.default_rng(seed).random(chunk.num_tokens)
+        ref, counts, near, branch_tie = _reference_sample(
+            chunk, theta, phi, n_k, hyper, u, config.tree_fanout
+        )
+        assert np.array_equal(out[~near], ref[~near])
+        assume(not branch_tie)
+        assert (stats.kd_sum, stats.p1_draws, stats.tree_probe_levels) == counts
