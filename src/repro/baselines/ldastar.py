@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
+from repro.cluster.membership import MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.cluster.placement import migrate_workers
@@ -162,7 +162,8 @@ class LDAStar(Algorithm):
         #: identity map; elastic recovery re-homes a dead node's workers
         #: onto survivors without touching their partitions.
         self._node_of = list(range(num_workers))
-        self.membership = MembershipMonitor(self.network)
+        #: Built by init_state, once the loop has set the recovery policy.
+        self.membership: MembershipMonitor | None = None
         self._config = KernelConfig(compressed=False)
         self._cost_model = CostModel()
         # Per-worker stale φ caches (populated at each sync round).
@@ -242,11 +243,9 @@ class LDAStar(Algorithm):
         self._charged = 0.0
         # The loop sets recovery_policy before init_state, so the
         # failure detector picks up the policy's heartbeat thresholds.
-        policy = getattr(self, "recovery_policy", None)
-        heartbeat: HeartbeatConfig | None = None
-        if policy is not None and hasattr(policy, "heartbeat_config"):
-            heartbeat = policy.heartbeat_config()
-        self.membership = MembershipMonitor(self.network, heartbeat)
+        self.membership = MembershipMonitor.for_policy(
+            self.network, getattr(self, "recovery_policy", None)
+        )
         if resume is not None:
             self._restore(resume)
         state = resume if resume is not None else RunState(algo=self.name)
@@ -277,15 +276,10 @@ class LDAStar(Algorithm):
             self._node_of = list(range(len(self.workers)))
         dead = state.extras.get("dead_nodes")
         if dead is not None and len(dead):
-            # Re-bury nodes the checkpointed run had already lost: fail
-            # them on the (possibly fresh) network, tell the detector,
-            # and re-home φ shards over the survivors so placement
-            # matches the run that wrote the checkpoint.
-            for n in dead:
-                n = int(n)
-                if self.network.node_alive(n):
-                    self.network.fail_node(n)
-                self.membership.force_dead(n, self._clock)
+            # Re-bury nodes the checkpointed run had already lost, then
+            # re-home φ shards over the survivors so placement matches
+            # the run that wrote the checkpoint.
+            self.membership.bury(dead, self._clock)
             self.server.rehome([
                 n for n in range(self.network.num_nodes)
                 if self.network.node_up(n)

@@ -4,7 +4,7 @@ Seven subcommands::
 
     repro-lda train    # train CuLDA_CGS on a UCI file or synthetic twin
     repro-lda infer    # fold new documents into a saved model
-    repro-lda project  # print a paper artifact (table4/table5/fig7/fig9)
+    repro-lda project  # print a paper artifact (table1/table4/table5/fig7/fig9)
     repro-lda profile  # instrumented run: breakdown, Gantt, counters
     repro-lda serve    # replay a request trace through the online service
     repro-lda loadgen  # Poisson open-loop load test of the service
@@ -30,7 +30,7 @@ Examples
         --gpus 2 --deadline 0.01 --metrics serve.prom
     repro-lda loadgen --model model.npz --smoke      # CI-sized preset
     repro-lda bench --tier quick --out BENCH_ci.json \
-        --compare BENCH_6.json                # CI regression gate
+        --compare BENCH_10.json               # CI regression gate
     repro-lda loadgen --model model.npz --chaos --gpus 4 \
         --hedge-quantile 0.9 --request-trace-chrome spans.json
     repro-lda profile --serve-trace spans.jsonl      # request critical paths

@@ -94,6 +94,14 @@ class MembershipMonitor:
             (0.0, node, "join", "alive") for node in range(n)
         ]
 
+    @classmethod
+    def for_policy(cls, network, policy) -> "MembershipMonitor":
+        """A monitor with *policy*'s lease thresholds when it carries
+        them (a :class:`~repro.engine.recovery.ClusterRecoveryPolicy`),
+        else the defaults. *policy* may be ``None``."""
+        heartbeat = getattr(policy, "heartbeat_config", None)
+        return cls(network, heartbeat() if heartbeat is not None else None)
+
     # ------------------------------------------------------------------
     def state(self, node: int) -> str:
         return self._state[node]
@@ -185,3 +193,12 @@ class MembershipMonitor:
         restoring a checkpoint whose run had already buried it."""
         if self._state[node] != "dead":
             self._transition(node, "dead", now)
+
+    def bury(self, nodes, at: float) -> None:
+        """Re-bury *nodes* a checkpointed or snapshotted run had already
+        lost: fail each on the network and declare it dead at *at*, so
+        the restored run matches the one that wrote the state."""
+        for node in sorted(int(n) for n in nodes):
+            if self.network.node_alive(node):
+                self.network.fail_node(node)
+            self.force_dead(node, at)

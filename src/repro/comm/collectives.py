@@ -313,7 +313,7 @@ def ring_allreduce_phi(
     the replica per link, with every neighbouring link active in
     parallel. At large G this moves less data per link than the tree
     (2·(G−1)/G replicas vs ⌈log₂G⌉), at the cost of more latency-bound
-    steps — the trade ``bench_ext_ring_allreduce.py`` measures. Works on
+    steps. Works on
     arbitrary sublists (the hierarchical collective rings the socket
     leaders).
 

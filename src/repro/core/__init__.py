@@ -22,7 +22,6 @@ from repro.core.alias import AliasTable
 from repro.core.blockplan import BlockPlan, plan_blocks, simulate_block_schedule
 from repro.core.culda import CuLDA, IterationStats, TrainConfig, TrainResult
 from repro.core.distributed import DistributedCuLDA
-from repro.core.hyperopt import optimize_hyperparameters, update_alpha, update_beta
 from repro.core.index_tree import IndexTree
 from repro.core.inference import InferenceResult, infer_documents
 from repro.core.likelihood import log_likelihood, log_likelihood_per_token
@@ -47,9 +46,6 @@ __all__ = [
     "ModelCheckpoint",
     "save_model",
     "load_model",
-    "optimize_hyperparameters",
-    "update_alpha",
-    "update_beta",
     "BlockPlan",
     "plan_blocks",
     "simulate_block_schedule",

@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.comm import AUTO, ClusterSyncContext, get_cluster_collective, plan_cluster_sync
 from repro.core.culda import BREAKDOWN_KINDS, CuLDA, TrainConfig
-from repro.cluster.membership import HeartbeatConfig, MembershipMonitor
+from repro.cluster.membership import MembershipMonitor
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.cluster.placement import migrate_workers
@@ -195,11 +195,9 @@ class DistributedCuLDA(CuLDA):
         # Failure detector over the fabric; lease thresholds come from
         # the ClusterRecoveryPolicy when one is active (the loop sets
         # recovery_policy before init_state).
-        policy = getattr(self, "recovery_policy", None)
-        heartbeat: HeartbeatConfig | None = None
-        if policy is not None and hasattr(policy, "heartbeat_config"):
-            heartbeat = policy.heartbeat_config()
-        self.membership = MembershipMonitor(self.network, heartbeat)
+        self.membership = MembershipMonitor.for_policy(
+            self.network, getattr(self, "recovery_policy", None)
+        )
         self._cluster_time = 0.0
         self._charged = 0.0
         self._t_prev_node = [0.0] * N
@@ -228,7 +226,7 @@ class DistributedCuLDA(CuLDA):
                     int(x)
                     for x in np.asarray(extras.get("dist_dead_nodes", ()))
                 }
-        self._rebury_dead_nodes()
+        self.membership.bury(self._dead_nodes, self._cluster_time)
 
         self._node_runtimes = self._hosted_runtimes()
         self._host_nodes = [n for n in range(N) if self._node_runtimes[n]]
@@ -755,16 +753,7 @@ class DistributedCuLDA(CuLDA):
         dead = state.extras.get("dist_dead_nodes")
         if dead is not None:
             self._dead_nodes = {int(x) for x in np.asarray(dead)}
-        self._rebury_dead_nodes()
-
-    def _rebury_dead_nodes(self) -> None:
-        """Fail the nodes a checkpointed or snapshotted run had already
-        lost, on the network and in the failure detector, so the
-        restored run matches the one that wrote the state."""
-        for n in sorted(self._dead_nodes):
-            if self.network.node_alive(n):
-                self.network.fail_node(n)
-            self.membership.force_dead(n, self._cluster_time)
+        self.membership.bury(self._dead_nodes, self._cluster_time)
 
     def _park_plan(self) -> None:
         """Park the chunk-hosting map and per-node φ bases in the

@@ -21,7 +21,6 @@ computed here fully vectorized from the CSR θ and dense φ counts.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.core.model import LDAHyperParams, SparseTheta
 
@@ -32,6 +31,8 @@ def word_log_likelihood(
     phi: np.ndarray, n_k: np.ndarray, hyper: LDAHyperParams, num_words: int
 ) -> float:
     """The p(w | z) term (depends only on φ; what multi-GPU replicas share)."""
+    from scipy.special import gammaln
+
     K, V = hyper.num_topics, num_words
     beta = hyper.beta
     const = K * (gammaln(V * beta) - V * gammaln(beta))
@@ -47,6 +48,8 @@ def _doc_log_likelihood(
     theta: SparseTheta, doc_lengths: np.ndarray, hyper: LDAHyperParams
 ) -> float:
     """The p(z) term (depends only on θ)."""
+    from scipy.special import gammaln
+
     K, alpha = hyper.num_topics, hyper.alpha
     D = theta.num_docs
     const = D * (gammaln(K * alpha) - K * gammaln(alpha))

@@ -4,19 +4,19 @@
 versioned artifact:
 
 - :mod:`repro.obs.registry` — scenario registry and the
-  :class:`Measurement` gate semantics (exact vs wall, direction).
-- :mod:`repro.obs.scenarios` — the curated suite (train / sync / serve /
-  kernel groups); importing it populates :data:`REGISTRY`.
+  :class:`Measurement` gate direction.
+- :mod:`repro.obs.scenarios` — the curated suite (train / sync / serve
+  groups); importing it populates :data:`REGISTRY`.
 - :mod:`repro.obs.snapshot` — run the suite, write/load ``BENCH_<n>.json``.
-- :mod:`repro.obs.compare` — noise-aware snapshot comparison; the
+- :mod:`repro.obs.compare` — bit-stable snapshot comparison; the
   ``bench --compare`` CI gate.
-- :mod:`repro.obs.workloads` — seeded workload builders shared with
-  ``benchmarks/``.
-- :mod:`repro.obs.timing` — repeated-median wall-clock measurement.
+- :mod:`repro.obs.workloads` — seeded workload builders for the scenarios.
 - :mod:`repro.obs.profiling` — the ``repro-lda profile --format json``
   schema.
 
-See ``docs/BENCHMARKS.md`` for the workflow.
+Every metric here is on the simulated clock or otherwise exact; host
+wall-clock speed is measured and gated by ``perfbench/``. See
+``docs/BENCHMARKS.md`` for the workflow.
 """
 
 from repro.obs.compare import Delta, compare_snapshots, format_deltas, gate
@@ -32,11 +32,9 @@ from repro.obs.snapshot import (
     SNAPSHOT_SCHEMA,
     format_snapshot,
     load_snapshot,
-    machine_fingerprint,
     run_suite,
     write_snapshot,
 )
-from repro.obs.timing import WallTiming, repeated_median
 
 __all__ = [
     "Measurement",
@@ -49,13 +47,10 @@ __all__ = [
     "write_snapshot",
     "load_snapshot",
     "format_snapshot",
-    "machine_fingerprint",
     "Delta",
     "compare_snapshots",
     "format_deltas",
     "gate",
-    "WallTiming",
-    "repeated_median",
     "PROFILE_SCHEMA",
     "profile_json",
 ]

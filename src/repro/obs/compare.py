@@ -3,26 +3,19 @@
 :func:`compare_snapshots` walks every scenario/metric pair two
 snapshots share and classifies each into a verdict:
 
-- ``ok`` — unchanged (exact) or within tolerance (wall).
-- ``regressed`` — worse than the baseline beyond tolerance. **Gates.**
-- ``improved`` — better beyond tolerance. Not a failure, but the delta
-  table flags it: refresh the committed snapshot so the new level
-  becomes the baseline.
-- ``drift`` — an ``info``-direction exact metric changed (e.g. a
-  likelihood value after a numerics change). Reported, not gated.
-- ``skipped`` — wall metric with mismatched machine fingerprints, or a
-  scenario whose params digest changed (different workload = new
-  baseline, not a comparison).
+- ``ok`` — unchanged.
+- ``regressed`` — worse than the baseline. **Gates.**
+- ``improved`` — better. Not a failure, but the delta table flags it:
+  refresh the committed snapshot so the new level becomes the baseline.
+- ``drift`` — an ``info``-direction metric changed (e.g. a likelihood
+  value after a numerics change). Reported, not gated.
+- ``skipped`` — a scenario whose params digest changed (different
+  workload = new baseline, not a comparison).
 
-Noise model
------------
-Exact (simulated-clock / deterministic) metrics must be **bit-stable**:
-they are compared with a relative epsilon of 1e-9 — just enough to
-absorb JSON round-tripping — and anything beyond that is a real change.
-Wall-clock metrics get ``tolerance = max(rel_floor · baseline,
-iqr_mult · max(old.iqr, new.iqr))``: a machine with noisy timings
-widens its own gate rather than tripping it, while a genuinely large
-regression still fails even on a noisy box.
+Every metric is simulated-clock or otherwise deterministic, so it must
+be **bit-stable**: values are compared with a relative epsilon of 1e-9
+— just enough to absorb JSON round-tripping — and anything beyond that
+is a real change. Host wall-clock speed is gated by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -37,10 +30,6 @@ __all__ = ["Delta", "compare_snapshots", "format_deltas", "gate"]
 #: Relative slack for "bit-stable" metrics: absorbs float → JSON →
 #: float round-tripping, nothing more.
 EXACT_REL_EPS = 1e-9
-
-#: Wall-clock gate: relative floor and IQR multiplier.
-WALL_REL_FLOOR = 0.25
-WALL_IQR_MULT = 3.0
 
 VERDICTS = ("ok", "regressed", "improved", "drift", "skipped")
 
@@ -77,39 +66,7 @@ def _compare_metric(
     metric: str,
     old: Measurement,
     new: Measurement,
-    machines_match: bool,
-    wall_rel_floor: float,
 ) -> Delta:
-    if old.kind == "wall" or new.kind == "wall":
-        if not machines_match:
-            return Delta(
-                scenario, metric, old.value, new.value, "skipped",
-                "wall metric, machine fingerprints differ",
-            )
-        tolerance = max(
-            wall_rel_floor * abs(old.value),
-            WALL_IQR_MULT * max(old.iqr, new.iqr),
-        )
-        diff = new.value - old.value
-        if abs(diff) <= tolerance:
-            return Delta(scenario, metric, old.value, new.value, "ok")
-        worse = diff > 0 if old.direction == "lower" else diff < 0
-        if old.direction == "info":
-            return Delta(
-                scenario, metric, old.value, new.value, "drift",
-                "wall info metric moved beyond tolerance",
-            )
-        if worse:
-            return Delta(
-                scenario, metric, old.value, new.value, "regressed",
-                f"beyond tolerance {tolerance:.4g}",
-            )
-        return Delta(
-            scenario, metric, old.value, new.value, "improved",
-            "refresh the snapshot to adopt the new baseline",
-        )
-
-    # exact: bit-stable expectation
     if _same_exact(old.value, new.value):
         return Delta(scenario, metric, old.value, new.value, "ok")
     if old.direction == "info":
@@ -133,16 +90,8 @@ def _compare_metric(
     )
 
 
-def compare_snapshots(
-    old: dict,
-    new: dict,
-    wall_rel_floor: float = WALL_REL_FLOOR,
-) -> list[Delta]:
+def compare_snapshots(old: dict, new: dict) -> list[Delta]:
     """Classify every shared scenario/metric pair; see module docs."""
-    machines_match = (
-        old.get("machine", {}).get("fingerprint")
-        == new.get("machine", {}).get("fingerprint")
-    )
     deltas: list[Delta] = []
     old_scenarios = old["scenarios"]
     new_scenarios = new["scenarios"]
@@ -163,7 +112,6 @@ def compare_snapshots(
                     name, metric,
                     Measurement.from_dict(o_metrics[metric]),
                     Measurement.from_dict(n_metrics[metric]),
-                    machines_match, wall_rel_floor,
                 )
             )
     return deltas

@@ -6,8 +6,7 @@ builds its own workload, runs it, and returns a dict of
 :meth:`BenchRegistry.scenario` decorator (see
 :mod:`repro.obs.scenarios` for the curated suite) and carry:
 
-- a ``group`` (``train`` / ``sync`` / ``serve`` / ``kernel``) for
-  display,
+- a ``group`` (``train`` / ``sync`` / ``serve``) for display,
 - a ``tier`` — ``quick`` scenarios run in both tiers (the CI gate),
   ``full`` scenarios only in the full suite. Tiers select *which*
   scenarios run; they never shrink a scenario's workload, so a quick
@@ -18,14 +17,11 @@ builds its own workload, runs it, and returns a dict of
   digests differ — a changed workload is a new baseline, not a
   regression.
 
-Measurements carry their own gate semantics:
-
-- ``kind="exact"`` — simulated-clock / deterministic values. Bit-stable
-  run to run; any change is a gate event.
-- ``kind="wall"`` — real wall-clock. Gated with a noise-aware tolerance
-  derived from the measured IQR.
-- ``direction`` — ``"higher"`` / ``"lower"`` is better, or ``"info"``
-  (tracked and reported, never gated).
+Every measurement is exact: a simulated-clock or otherwise
+deterministic value, bit-stable run to run, so any change is a gate
+event. Its ``direction`` says which way is better — ``"higher"`` /
+``"lower"`` — or ``"info"`` (tracked and reported, never gated). Host
+wall-clock speed is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
@@ -44,48 +40,36 @@ __all__ = [
 ]
 
 TIERS = ("quick", "full")
-KINDS = ("exact", "wall")
 DIRECTIONS = ("higher", "lower", "info")
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """One metric value with its gate semantics."""
+    """One exact metric value and the direction that is better."""
 
     value: float
     unit: str = ""
-    kind: str = "exact"
     direction: str = "lower"
-    #: Inter-quartile range of the repeated measurements (wall only).
-    iqr: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.direction not in DIRECTIONS:
             raise ValueError(
                 f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
             )
 
     def as_dict(self) -> dict:
-        record = {
+        return {
             "value": self.value,
             "unit": self.unit,
-            "kind": self.kind,
             "direction": self.direction,
         }
-        if self.kind == "wall":
-            record["iqr"] = self.iqr
-        return record
 
     @classmethod
     def from_dict(cls, record: dict) -> "Measurement":
         return cls(
             value=float(record["value"]),
             unit=str(record.get("unit", "")),
-            kind=str(record.get("kind", "exact")),
             direction=str(record.get("direction", "lower")),
-            iqr=float(record.get("iqr", 0.0)),
         )
 
 

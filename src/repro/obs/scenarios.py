@@ -1,7 +1,7 @@
 """The curated benchmark suite.
 
 Importing this module populates :data:`repro.obs.registry.REGISTRY`
-with every scenario ``repro-lda bench`` can run. Four groups:
+with every scenario ``repro-lda bench`` can run. Three groups:
 
 - **train** — simulated-clock throughput of all five trainers (CuLDA
   plus the four baselines), deterministic to the bit.
@@ -11,9 +11,9 @@ with every scenario ``repro-lda bench`` can run. Four groups:
   reduce-tree on PCIe and NVLink fabrics (see ``docs/SYNC.md``).
 - **serve** — end-to-end serving latency from a seeded loadgen trace,
   including a chaos + hedging scenario (failover/hedge overhead).
-- **kernel** — real wall-clock of the NumPy hot paths (the vectorized
-  sampling kernel, φ accumulation, θ recount, alias-table build) via
-  repeated-median timing.
+
+Every metric is exact (simulated clock or otherwise deterministic).
+Host wall-clock speed is ``perfbench/``'s job.
 
 Workloads are deliberately small: the quick tier must finish in CI in
 well under five minutes. They are *fixed*, not tier-scaled — a quick
@@ -29,9 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.registry import REGISTRY, Measurement
-from repro.obs.timing import repeated_median
 from repro.obs.workloads import (
-    kernel_state,
     make_baseline,
     make_corpus,
     make_culda,
@@ -43,16 +41,7 @@ __all__ = ["REGISTRY"]
 
 
 def _exact(value, unit, direction="lower") -> Measurement:
-    return Measurement(
-        value=float(value), unit=unit, kind="exact", direction=direction
-    )
-
-
-def _wall(timing, direction="lower") -> Measurement:
-    return Measurement(
-        value=timing.median, unit="s", kind="wall", direction=direction,
-        iqr=timing.iqr,
-    )
+    return Measurement(value=float(value), unit=unit, direction=direction)
 
 
 def _train_metrics(result) -> dict:
@@ -461,25 +450,19 @@ def _ldastar_node_loss() -> dict:
 
 @REGISTRY.scenario(
     "train/scvb0_convergence", "train",
-    "SCVB0 baseline (untimed clock): final likelihood + wall train time",
+    "SCVB0 baseline (untimed clock): final likelihood",
     corpus="nytimes", tokens=10_000, topics=32, iterations=3,
 )
 def _scvb0() -> dict:
     corpus = make_corpus("nytimes", tokens=10_000, seed=0)
-
-    def run():
-        return make_baseline(corpus, "scvb0", num_topics=32, seed=0).train(
-            iterations=3, likelihood_every=3
-        )
-
-    result = run()
-    timing = repeated_median(run, rounds=3, warmup=0)
-    metrics = {"wall_train_seconds": _wall(timing)}
-    if result.final_log_likelihood is not None:
-        metrics["final_ll_per_token"] = _exact(
+    result = make_baseline(corpus, "scvb0", num_topics=32, seed=0).train(
+        iterations=3, likelihood_every=3
+    )
+    return {
+        "final_ll_per_token": _exact(
             result.final_log_likelihood, "nats/token", "info"
         )
-    return metrics
+    }
 
 
 # ----------------------------------------------------------------------
@@ -575,78 +558,3 @@ def _serve_4gpu() -> dict:
     return _serve_metrics(
         _serve_report(4, "volta", rate=8000.0, duration=0.02, seed=0)
     )
-
-
-# ----------------------------------------------------------------------
-# kernel (wall clock)
-# ----------------------------------------------------------------------
-
-@REGISTRY.scenario(
-    "kernel/gibbs_sample_chunk", "kernel",
-    "Wall clock of the vectorized sampling kernel: 20k tokens, K=64",
-    corpus="nytimes", tokens=20_000, topics=64, rounds=5,
-)
-def _bench_gibbs() -> dict:
-    from repro.core.kernels import gibbs_sample_chunk
-
-    state = kernel_state(make_corpus("nytimes", tokens=20_000, seed=0), 64, 0)
-    rng = np.random.default_rng(1)
-
-    def run():
-        gibbs_sample_chunk(
-            state["chunk"], state["topics"], state["theta"], state["phi"],
-            state["n_k"], state["hyper"], rng,
-        )
-
-    return {"wall_seconds": _wall(repeated_median(run, rounds=5))}
-
-
-@REGISTRY.scenario(
-    "kernel/accumulate_phi", "kernel",
-    "Wall clock of the phi-accumulation update: 20k tokens, K=64",
-    corpus="nytimes", tokens=20_000, topics=64, rounds=7,
-)
-def _bench_accumulate_phi() -> dict:
-    from repro.core.kernels import accumulate_phi
-
-    state = kernel_state(make_corpus("nytimes", tokens=20_000, seed=0), 64, 0)
-
-    def run():
-        accumulate_phi(state["chunk"], state["topics"], 64)
-
-    return {"wall_seconds": _wall(repeated_median(run, rounds=7))}
-
-
-@REGISTRY.scenario(
-    "kernel/recount_theta", "kernel",
-    "Wall clock of the theta recount: 20k tokens, K=64",
-    tier="full",
-    corpus="nytimes", tokens=20_000, topics=64, rounds=5,
-)
-def _bench_recount_theta() -> dict:
-    from repro.core.kernels import recount_theta
-
-    state = kernel_state(make_corpus("nytimes", tokens=20_000, seed=0), 64, 0)
-
-    def run():
-        recount_theta(state["chunk"], state["topics"], 64)
-
-    return {"wall_seconds": _wall(repeated_median(run, rounds=5))}
-
-
-@REGISTRY.scenario(
-    "kernel/alias_build", "kernel",
-    "Wall clock of 8 Vose alias-table builds over 4096 weights",
-    size=4_096, builds=8, rounds=7,
-)
-def _bench_alias() -> dict:
-    from repro.core.alias import AliasTable
-
-    rng = np.random.default_rng(0)
-    weights = [rng.random(4_096) + 1e-9 for _ in range(8)]
-
-    def run():
-        for w in weights:
-            AliasTable(w)
-
-    return {"wall_seconds": _wall(repeated_median(run, rounds=7))}

@@ -7,44 +7,36 @@ root, one per PR) with schema ``repro-bench/1``::
       "schema": "repro-bench/1",
       "git_sha": "…",             # HEAD at measurement time
       "tier": "quick" | "full",
-      "machine": {                # fingerprinted host description
-        "fingerprint": "…",       # sha256 of the fields below
-        "platform": "…", "python": "…", "numpy": "…", "cpu_count": n
-      },
       "scenarios": {
         "<name>": {
           "group": "…", "description": "…", "digest": "…",
           "params": {…},          # the exact workload spec
           "metrics": {
-            "<metric>": {"value": …, "unit": "…", "kind": "exact"|"wall",
-                         "direction": "higher"|"lower"|"info", "iqr": …}
+            "<metric>": {"value": …, "unit": "…",
+                         "direction": "higher"|"lower"|"info"}
           }
         }
       }
     }
 
-Exact (simulated-clock) metrics are comparable across machines; wall
-metrics are only gated when both snapshots carry the same machine
-fingerprint (see :mod:`repro.obs.compare`).
+Every metric is deterministic, so snapshots compare across machines.
+Snapshots up to ``BENCH_10.json`` also carry a ``machine`` block and
+wall-clock metrics (``"kind": "wall"``); they still load, and a fresh
+run shares none of those wall metrics, so comparing against one checks
+only the exact metrics.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import platform as _platform
 import subprocess
 from pathlib import Path
 from typing import Callable
-
-import numpy as np
 
 from repro.obs.registry import REGISTRY
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
-    "machine_fingerprint",
     "git_sha",
     "run_suite",
     "write_snapshot",
@@ -67,25 +59,6 @@ def git_sha() -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def machine_fingerprint() -> dict:
-    """The host description stored in a snapshot.
-
-    The fingerprint hashes everything that plausibly moves wall-clock
-    numbers: OS/arch, interpreter, numpy build, and core count.
-    """
-    fields = {
-        "platform": _platform.platform(),
-        "python": _platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count() or 1,
-    }
-    blob = json.dumps(fields, sort_keys=True)
-    return {
-        "fingerprint": hashlib.sha256(blob.encode()).hexdigest()[:16],
-        **fields,
-    }
-
-
 def run_suite(
     tier: str = "quick",
     only: str | None = None,
@@ -105,7 +78,6 @@ def run_suite(
         "schema": SNAPSHOT_SCHEMA,
         "git_sha": git_sha(),
         "tier": tier,
-        "machine": machine_fingerprint(),
         "scenarios": {},
     }
     for scenario in scenarios:
@@ -154,20 +126,15 @@ def format_snapshot(snapshot: dict) -> str:
     """Human-readable per-scenario metric table."""
     lines = [
         f"benchmark snapshot — tier {snapshot['tier']}, "
-        f"git {snapshot['git_sha'][:12]}, "
-        f"machine {snapshot['machine']['fingerprint']}"
+        f"git {snapshot['git_sha'][:12]}"
     ]
     for name, entry in sorted(snapshot["scenarios"].items()):
         lines.append("")
         lines.append(f"{name}  [{entry['digest']}]")
         lines.append(f"  {entry['description']}")
         for metric, m in sorted(entry["metrics"].items()):
-            kind = m["kind"]
-            tail = ""
-            if kind == "wall" and m.get("iqr"):
-                tail = f"  (±IQR {m['iqr'] * 1e3:.3g} ms)"
             lines.append(
                 f"    {metric:<28s} {_fmt_value(m['value'], m['unit']):>18s}"
-                f"  [{kind}/{m['direction']}]{tail}"
+                f"  [{m['direction']}]"
             )
     return "\n".join(lines)

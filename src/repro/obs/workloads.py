@@ -1,18 +1,14 @@
-"""Shared workload builders for benchmarks and the observatory.
+"""Seeded workload builders for the benchmark scenarios.
 
-The per-benchmark boilerplate the ``benchmarks/bench_*.py`` files used
-to repeat — synthetic-twin construction, platform/machine creation,
-trainer assembly with a fixed seed — lives here once, imported both by
-``benchmarks/conftest.py`` (for the pytest benches) and by the scenario
-registry (:mod:`repro.obs.scenarios`). Everything is seeded: the same
-arguments always produce the same corpus, machine, and trainer.
+Synthetic-twin construction, platform/machine creation and trainer
+assembly with a fixed seed, shared by the scenario registry
+(:mod:`repro.obs.scenarios`). Everything is seeded: the same arguments
+always produce the same corpus, machine, and trainer.
 """
 
 from __future__ import annotations
 
 from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "make_corpus",
@@ -20,7 +16,6 @@ __all__ = [
     "make_culda",
     "make_distributed_culda",
     "make_baseline",
-    "kernel_state",
     "train_tiny_checkpoint",
 ]
 
@@ -154,32 +149,6 @@ def make_baseline(
 
         return LDAStar(corpus, hyper, seed=seed, registry=registry, **kwargs)
     raise ValueError(f"unknown baseline algorithm {algo!r}")
-
-
-def kernel_state(corpus, num_topics: int = 64, seed: int = 0) -> dict:
-    """Mid-training sampler state for kernel micro-benchmarks.
-
-    Builds exactly what one training iteration reads: the word-first
-    token chunk, a seeded random assignment, the sparse θ derived from
-    it, the accumulated φ, and the topic totals ``n_k``.
-    """
-    from repro.core.kernels import accumulate_phi
-    from repro.core.model import LDAHyperParams, SparseTheta
-
-    chunk = corpus.to_chunk()
-    rng = np.random.default_rng(seed)
-    topics = rng.integers(0, num_topics, size=chunk.num_tokens).astype(np.int64)
-    theta = SparseTheta.from_assignments(chunk, topics, num_topics, False)
-    phi = accumulate_phi(chunk, topics, num_topics)
-    return {
-        "chunk": chunk,
-        "topics": topics,
-        "theta": theta,
-        "phi": phi,
-        "n_k": phi.sum(axis=1),
-        "hyper": LDAHyperParams(num_topics=num_topics),
-        "rng": rng,
-    }
 
 
 def train_tiny_checkpoint(

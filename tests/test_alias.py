@@ -84,6 +84,10 @@ class TestSampling:
                 observed[mask], p[mask] / p[mask].sum() * observed[mask].sum()
             )
             assert pvalue > 1e-4
+        # Same distribution, but the tree's internal levels are a small
+        # fraction of the alias table's two K-length arrays.
+        alias_nbytes = table.prob.nbytes + table.alias.nbytes
+        assert tree.internal_nbytes(4) < alias_nbytes / 5
 
 
 class TestProperties:

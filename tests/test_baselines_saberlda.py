@@ -32,9 +32,23 @@ class TestSaberLDA:
     def test_slower_than_culda_same_platform(self, medium_corpus):
         """The §7.2 comparison, measured: CuLDA's optimizations beat the
         prior-generation GPU design at equal statistical work."""
-        cfg = TrainConfig(num_topics=32, iterations=5, seed=0)
+        from repro.analysis.metrics import time_to_likelihood
+
+        cfg = TrainConfig(num_topics=32, iterations=5, seed=0,
+                          likelihood_every=1)
         culda = CuLDA(medium_corpus, pascal_platform(1), cfg).train()
         saber = SaberLDA(medium_corpus, pascal_platform(1), cfg).train()
         assert culda.total_sim_seconds < saber.total_sim_seconds
         # Statistically they solve the same problem.
         assert saber.phi.sum() == culda.phi.sum()
+        # Fig 8: SaberLDA reaches CuLDA's final likelihood later.
+        target = culda.final_log_likelihood
+        reached = [
+            time_to_likelihood(
+                np.cumsum([it.sim_seconds for it in r.iterations]),
+                np.array([it.log_likelihood_per_token for it in r.iterations]),
+                target,
+            )
+            for r in (culda, saber)
+        ]
+        assert reached[1] is not None and reached[1] > reached[0]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus.datasets import NYTIMES, PUBMED
-from repro.gpusim.platform import GPU_TITAN_X, GPU_TITAN_XP, GPU_V100
+from repro.gpusim.platform import GPU_A100, GPU_TITAN_X, GPU_TITAN_XP, GPU_V100
 from repro.perfmodel.capacity import MemoryPlan, max_topics_resident, plan_memory
 
 
@@ -30,6 +30,8 @@ class TestPlanMemory:
     def test_pubmed_resident_at_four_gpus(self):
         plan = plan_memory(PUBMED, GPU_TITAN_XP, num_topics=1024, num_gpus=4)
         assert plan.resident
+        # One post-paper GPU does it too: the A100's 40 GB holds PubMed.
+        assert plan_memory(PUBMED, GPU_A100, num_topics=1024).resident
 
     def test_model_too_big_raises(self):
         with pytest.raises(MemoryError, match="model"):

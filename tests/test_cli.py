@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -22,6 +28,18 @@ class TestParser:
             build_parser().parse_args(
                 ["train", "--uci", "x", "--synthetic", "nytimes"]
             )
+
+    def test_import_does_not_load_scipy(self):
+        """Start-up stays cheap: scipy loads only when a likelihood is
+        computed, not when the CLI is imported."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTrain:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import CuLDA, TrainConfig
 from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus
-from repro.gpusim.platform import pascal_platform, volta_platform
+from repro.gpusim.platform import dgx_platform, pascal_platform, volta_platform
 
 
 @pytest.fixture
@@ -125,6 +125,12 @@ class TestScheduleSelection:
                   TrainConfig(num_topics=8, iterations=2, seed=0)).train()
         assert r.chunks_per_gpu == 1
         assert r.plan_chunks == 2
+        # Alg 1 prefers WorkSchedule1 for a reason: when the data fits,
+        # streaming it (M > 1) only adds transfers.
+        streamed = CuLDA(corpus, pascal_platform(2),
+                         TrainConfig(num_topics=8, iterations=2, seed=0,
+                                     chunks_per_gpu=3)).train()
+        assert r.total_sim_seconds < streamed.total_sim_seconds
 
     def test_forced_streaming_matches_resident_model(self, corpus):
         """WorkSchedule1 and WorkSchedule2 must be statistically
@@ -139,24 +145,36 @@ class TestScheduleSelection:
         assert np.array_equal(res.phi, stream.phi)
 
     def test_no_overlap_is_slower(self, corpus):
-        base = TrainConfig(num_topics=8, iterations=3, seed=0, chunks_per_gpu=3)
-        with_overlap = CuLDA(corpus, pascal_platform(1), base).train()
+        """Switching off transfer/compute overlap (§5.1) costs simulated
+        time without changing the model; so do the dense O(K) sampler
+        and per-sampler p₂ staging (§6.1) once K exceeds the document
+        length."""
         from dataclasses import replace
 
-        no_overlap = CuLDA(
-            corpus, pascal_platform(1), replace(base, overlap_transfers=False)
-        ).train()
-        assert with_overlap.total_sim_seconds < no_overlap.total_sim_seconds
+        base = TrainConfig(num_topics=64, iterations=3, seed=0, chunks_per_gpu=3)
+        fast = CuLDA(corpus, pascal_platform(1), base).train()
+        for ablation in (
+            dict(overlap_transfers=False),
+            dict(sparse_sampler=False),
+            dict(share_p2_tree=False),
+        ):
+            slow = CuLDA(
+                corpus, pascal_platform(1), replace(base, **ablation)
+            ).train()
+            assert fast.total_sim_seconds < slow.total_sim_seconds, ablation
+            assert np.array_equal(fast.phi, slow.phi), ablation
 
     def test_cpu_gather_sync_same_model(self, corpus):
+        """§5.2: the GPU reduce tree and the host gather/scatter build the
+        same model, and with a φ large enough for the sync to show
+        (K = 256) the tree trains faster end to end."""
         a = CuLDA(corpus, pascal_platform(2),
-                  TrainConfig(num_topics=8, iterations=3, seed=5)).train()
-        from dataclasses import replace
-
+                  TrainConfig(num_topics=256, iterations=3, seed=5)).train()
         b = CuLDA(corpus, pascal_platform(2),
-                  TrainConfig(num_topics=8, iterations=3, seed=5,
+                  TrainConfig(num_topics=256, iterations=3, seed=5,
                               sync_algorithm="cpu_gather")).train()
         assert np.array_equal(a.phi, b.phi)
+        assert a.total_sim_seconds < b.total_sim_seconds
 
     def test_unknown_sync_rejected(self, corpus):
         with pytest.raises(ValueError):
@@ -176,7 +194,8 @@ class TestScalingBehaviour:
         cfg = TrainConfig(num_topics=32, iterations=4, seed=0)
         t1 = CuLDA(c, pascal_platform(1), cfg).train().total_sim_seconds
         t2 = CuLDA(c, pascal_platform(2), cfg).train().total_sim_seconds
-        assert t2 < t1
+        t4 = CuLDA(c, pascal_platform(4), cfg).train().total_sim_seconds
+        assert t4 < t2 < t1
 
     def test_tiny_problem_does_not_scale(self, corpus):
         """With ~6k tokens the K×V synchronization dominates and extra
@@ -193,10 +212,18 @@ class TestScalingBehaviour:
         tp = CuLDA(corpus, pascal_platform(1), cfg).train().total_sim_seconds
         tv = CuLDA(corpus, volta_platform(1), cfg).train().total_sim_seconds
         assert tv < tp
+        # Two V100s over NVLink (DGX) beat two over PCIe: same model,
+        # shorter φ sync.
+        cfg = TrainConfig(num_topics=64, iterations=3, seed=0)
+        nvlink = CuLDA(corpus, dgx_platform(2), cfg).train()
+        pcie = CuLDA(corpus, volta_platform(2), cfg).train()
+        assert nvlink.total_sim_seconds < pcie.total_sim_seconds
+        assert np.array_equal(nvlink.phi, pcie.phi)
 
     def test_throughput_rises_with_sparsification(self):
-        """Fig 7's ramp on a twin corpus: later iterations at least as
-        fast as the first."""
+        """Fig 7's ramp on a twin corpus: θ sparsifies and later
+        iterations are at least as fast as the first. The same run's
+        trace shows Table 5's shape: sampling dominates the kernels."""
         from repro.corpus.synthetic import nytimes_like
 
         c = nytimes_like(num_tokens=30_000, num_topics=8, seed=2)
@@ -204,8 +231,13 @@ class TestScalingBehaviour:
                   TrainConfig(num_topics=32, iterations=12, seed=0)).train()
         first = r.iterations[0].tokens_per_sec
         last = r.iterations[-1].tokens_per_sec
-        assert last >= 0.95 * first
-        assert r.iterations[-1].mean_kd <= r.iterations[0].mean_kd
+        assert last >= first
+        assert r.iterations[-1].mean_kd < r.iterations[0].mean_kd
+        kernels = sum(
+            r.breakdown[k] for k in ("sampling", "update_theta", "update_phi")
+        )
+        assert r.breakdown["sampling"] / kernels > 0.6
+        assert r.breakdown["sampling"] > r.breakdown["update_theta"]
 
 
 class TestCompression:
@@ -217,8 +249,9 @@ class TestCompression:
         b = CuLDA(corpus, pascal_platform(1),
                   replace(base, compressed=False)).train()
         # Identical draws (same RNG, same math) — compression is lossless
-        # at this scale.
+        # at this scale — and the 16-bit kernels move fewer bytes.
         assert np.array_equal(a.phi, b.phi)
+        assert a.total_sim_seconds < b.total_sim_seconds
 
     def test_compression_rejects_huge_k(self, corpus):
         with pytest.raises(ValueError, match="16-bit"):

@@ -48,6 +48,14 @@ class TestConstruction:
         # The paper's point: internal levels are ~K/31 entries at R=32.
         t = IndexTree(np.ones(10_000), fanout=32)
         assert t.internal_nbytes(4) < 10_000 * 4 / 20
+        # Fanout is the warp width (§2.2): wider trees are shallower and
+        # smaller, and at K = 4096 the 32-way internals fit in 48 KiB of
+        # shared memory.
+        w = np.ones(4096)
+        trees = {f: IndexTree(w, fanout=f) for f in (2, 32, 64)}
+        assert trees[64].depth <= trees[32].depth <= trees[2].depth
+        assert trees[64].internal_nbytes() < trees[2].internal_nbytes()
+        assert trees[32].internal_nbytes(4) < 48 * 1024
 
 
 class TestSearchCorrectness:

@@ -97,7 +97,13 @@ class TestFullPipeline:
         assert before == after
 
     def test_energy_accounting_positive_and_ordered(self, raw_corpus):
-        """Energy model sanity: a longer run burns more joules."""
+        """Energy model sanity: a longer run burns more joules. The same
+        run costs fewer joules on each newer GPU, and every GPU beats
+        the WarpLDA CPU baseline on energy, not just on speed."""
+        from repro.baselines.warplda import warplda_iteration_cost
+        from repro.gpusim.costmodel import CostModel
+        from repro.gpusim.platform import CPU_E5_2690V4, maxwell_platform
+
         m_short = pascal_platform(1)
         CuLDA(raw_corpus, m_short,
               TrainConfig(num_topics=8, iterations=2, seed=0)).train()
@@ -107,3 +113,20 @@ class TestFullPipeline:
         e_short = m_short.energy_joules()
         e_long = m_long.energy_joules()
         assert 0 < e_short < e_long
+
+        joules = {"Pascal": e_long}
+        for name, factory in (("Maxwell", maxwell_platform),
+                              ("Volta", volta_platform)):
+            m = factory(1)
+            CuLDA(raw_corpus, m,
+                  TrainConfig(num_topics=8, iterations=8, seed=0)).train()
+            joules[name] = m.energy_joules()
+        assert joules["Volta"] < joules["Pascal"] < joules["Maxwell"]
+        cpu_iteration = CostModel().kernel_seconds(
+            CPU_E5_2690V4,
+            warplda_iteration_cost(
+                raw_corpus.num_tokens, 8, raw_corpus.num_words,
+                raw_corpus.num_tokens / raw_corpus.num_docs,
+            ),
+        )
+        assert 8 * cpu_iteration * CPU_E5_2690V4.tdp_watts > max(joules.values())

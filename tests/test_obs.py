@@ -5,6 +5,7 @@ the `repro-lda bench` CLI."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,7 @@ from repro.obs import (
     format_snapshot,
     gate,
     load_snapshot,
-    machine_fingerprint,
     params_digest,
-    repeated_median,
     write_snapshot,
 )
 from repro.obs.snapshot import SNAPSHOT_SCHEMA
@@ -30,21 +29,12 @@ from repro.obs.snapshot import SNAPSHOT_SCHEMA
 # Measurement + digest
 # ----------------------------------------------------------------------
 class TestMeasurement:
-    def test_validates_kind_and_direction(self):
-        with pytest.raises(ValueError, match="kind"):
-            Measurement(1.0, kind="approximate")
+    def test_validates_direction(self):
         with pytest.raises(ValueError, match="direction"):
             Measurement(1.0, direction="sideways")
 
-    def test_iqr_only_serialized_for_wall(self):
-        exact = Measurement(1.0, unit="s", kind="exact")
-        wall = Measurement(1.0, unit="s", kind="wall", iqr=0.1)
-        assert "iqr" not in exact.as_dict()
-        assert wall.as_dict()["iqr"] == 0.1
-
     def test_round_trip(self):
-        m = Measurement(3.5, unit="tokens/s", kind="wall",
-                        direction="higher", iqr=0.2)
+        m = Measurement(3.5, unit="tokens/s", direction="higher")
         assert Measurement.from_dict(m.as_dict()) == m
 
 
@@ -113,7 +103,6 @@ class TestBenchRegistry:
         names = REGISTRY.names()
         assert "train/culda_pascal_1gpu" in names
         assert "serve/chaos_hedge_pascal_4gpu" in names
-        assert "kernel/gibbs_sample_chunk" in names
         assert "sync/culda_pascal_4gpu_tree" in names
         # The CI tier is a strict subset.
         quick = {s.name for s in REGISTRY.select("quick")}
@@ -121,23 +110,14 @@ class TestBenchRegistry:
         assert quick < full
 
 
-class TestRepeatedMedian:
-    def test_orders_and_counts(self):
-        t = repeated_median(lambda: sum(range(500)), rounds=5)
-        assert t.rounds == 5
-        assert t.min <= t.median <= t.max
-        assert t.iqr >= 0.0
-
-
 # ----------------------------------------------------------------------
 # Comparator / gate
 # ----------------------------------------------------------------------
-def snap(metrics, digest="abc", fingerprint="m1", name="train/x"):
+def snap(metrics, digest="abc", name="train/x"):
     return {
         "schema": SNAPSHOT_SCHEMA,
         "git_sha": "deadbeef",
         "tier": "quick",
-        "machine": {"fingerprint": fingerprint},
         "scenarios": {
             name: {
                 "group": "train", "description": "d", "digest": digest,
@@ -148,17 +128,12 @@ def snap(metrics, digest="abc", fingerprint="m1", name="train/x"):
 
 
 def exact(value, direction="higher"):
-    return Measurement(value, kind="exact", direction=direction).as_dict()
-
-
-def wall(value, iqr=0.0):
-    return Measurement(value, kind="wall", direction="lower",
-                       iqr=iqr).as_dict()
+    return Measurement(value, direction=direction).as_dict()
 
 
 class TestCompare:
     def test_identical_snapshots_are_clean(self):
-        a = snap({"tps": exact(100.0), "t": wall(0.5)})
+        a = snap({"tps": exact(100.0), "t": exact(0.5, direction="lower")})
         deltas = compare_snapshots(a, a)
         assert {d.verdict for d in deltas} == {"ok"}
         assert gate(deltas) == []
@@ -190,28 +165,12 @@ class TestCompare:
         (d,) = compare_snapshots(old, new)
         assert d.verdict == "ok"
 
-    def test_wall_within_iqr_tolerance_is_ok(self):
-        old = snap({"t": wall(0.100, iqr=0.020)})
-        new = snap({"t": wall(0.150, iqr=0.020)})
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "ok"  # 0.05 < 3 * 0.02
-
-    def test_wall_beyond_tolerance_regresses(self):
-        old = snap({"t": wall(0.100, iqr=0.001)})
-        new = snap({"t": wall(0.200, iqr=0.001)})
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "regressed"
-
-    def test_wall_skipped_across_machines(self):
-        old = snap({"t": wall(0.1)}, fingerprint="m1")
-        new = snap({"t": wall(10.0)}, fingerprint="m2")
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "skipped"
-        assert gate([d]) == []
-
     def test_exact_still_gated_across_machines(self):
-        old = snap({"tps": exact(100.0)}, fingerprint="m1")
-        new = snap({"tps": exact(90.0)}, fingerprint="m2")
+        """A baseline written before snapshots dropped the machine block
+        (BENCH_10 and earlier) still gates a fresh run's exact metrics."""
+        old = snap({"tps": exact(100.0)})
+        old["machine"] = {"fingerprint": "m1"}
+        new = snap({"tps": exact(90.0)})
         (d,) = compare_snapshots(old, new)
         assert d.verdict == "regressed"
 
@@ -244,15 +203,20 @@ class TestSnapshotIO:
         path = tmp_path / "BENCH_t.json"
         write_snapshot(doc, path)
         assert load_snapshot(path) == doc
+        # Snapshots written with wall-clock metrics and a machine block
+        # (up to BENCH_10) still load, and every metric still parses.
+        legacy = load_snapshot(
+            Path(__file__).resolve().parents[1] / "BENCH_10.json"
+        )
+        for entry in legacy["scenarios"].values():
+            for record in entry["metrics"].values():
+                Measurement.from_dict(record)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "other/1", "scenarios": {}}))
         with pytest.raises(ValueError, match="schema"):
             load_snapshot(path)
-
-    def test_fingerprint_is_stable_within_a_process(self):
-        assert machine_fingerprint() == machine_fingerprint()
 
     def test_format_snapshot_lists_metrics(self):
         text = format_snapshot(snap({"tps": exact(100.0)}))
@@ -268,7 +232,7 @@ class TestBenchCLI:
         assert main(["bench", "--list", "--tier", "full"]) == 0
         out = capsys.readouterr().out
         assert "train/culda_pascal_1gpu" in out
-        assert "kernel/alias_build" in out
+        assert "sync/culda_pascal_4gpu_cpu_gather" in out  # full tier only
 
     def test_empty_selection_fails(self, capsys):
         assert main(["bench", "--only", "no-such-scenario"]) == 2
@@ -277,21 +241,21 @@ class TestBenchCLI:
     def snapshot_file(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("bench") / "BENCH_t.json"
         assert main([
-            "bench", "--only", "kernel/accumulate_phi", "--out", str(path),
+            "bench", "--only", "train/culda_pascal_1gpu", "--out", str(path),
         ]) == 0
         return path
 
     def test_out_writes_a_valid_snapshot(self, snapshot_file):
         doc = load_snapshot(snapshot_file)
         assert doc["tier"] == "quick"
-        entry = doc["scenarios"]["kernel/accumulate_phi"]
-        assert entry["metrics"]["wall_seconds"]["kind"] == "wall"
+        entry = doc["scenarios"]["train/culda_pascal_1gpu"]
+        assert entry["metrics"]["tokens_per_sec"]["direction"] == "higher"
 
     def test_compare_clean_against_self_like_baseline(
         self, snapshot_file, capsys
     ):
         assert main([
-            "bench", "--only", "kernel/accumulate_phi",
+            "bench", "--only", "train/culda_pascal_1gpu",
             "--compare", str(snapshot_file),
         ]) == 0
         assert "no regressions" in capsys.readouterr().out
@@ -300,17 +264,16 @@ class TestBenchCLI:
         self, snapshot_file, tmp_path, capsys
     ):
         doc = load_snapshot(snapshot_file)
-        metric = doc["scenarios"]["kernel/accumulate_phi"]["metrics"][
-            "wall_seconds"
+        metric = doc["scenarios"]["train/culda_pascal_1gpu"]["metrics"][
+            "tokens_per_sec"
         ]
-        metric["value"] /= 1000.0  # baseline "was" 1000x faster
-        metric["iqr"] = 0.0
+        metric["value"] *= 2.0  # baseline "was" twice as fast
         perturbed = tmp_path / "BENCH_perturbed.json"
         write_snapshot(doc, perturbed)
         assert main([
-            "bench", "--only", "kernel/accumulate_phi",
+            "bench", "--only", "train/culda_pascal_1gpu",
             "--compare", str(perturbed),
         ]) == 1
         out = capsys.readouterr().out
-        assert "kernel/accumulate_phi" in out
+        assert "train/culda_pascal_1gpu" in out
         assert "regressed" in out

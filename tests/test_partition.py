@@ -8,6 +8,7 @@ import pytest
 from repro.core.kernels import KernelConfig
 from repro.core.model import LDAHyperParams
 from repro.corpus.corpus import Corpus
+from repro.corpus.datasets import NYTIMES, PUBMED
 from repro.corpus.synthetic import SyntheticSpec, generate_lda_corpus
 from repro.gpusim.platform import GPU_TITAN_XP
 from repro.sched.partition import (
@@ -155,11 +156,12 @@ class TestPolicyAnalysis:
     def test_by_document_cheaper_when_d_large(self):
         """§4's argument: D >> V makes partition-by-document the cheaper
         policy (φ sync << θ sync)."""
-        vol = sync_volume_by_policy(
-            num_docs=8_200_000, num_words=141_043, num_topics=1024,
-            config=KernelConfig(),
-        )
-        assert vol["by_document"] < vol["by_word"]
+        for stats in (NYTIMES, PUBMED):
+            vol = sync_volume_by_policy(
+                num_docs=stats.num_docs, num_words=stats.num_words,
+                num_topics=1024, config=KernelConfig(),
+            )
+            assert vol["by_word"] > 5 * vol["by_document"], stats.name
 
     def test_by_word_cheaper_in_inverted_regime(self):
         vol = sync_volume_by_policy(

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from repro.corpus.datasets import NYTIMES, PUBMED
-from repro.gpusim.platform import GPU_TITAN_X, GPU_TITAN_XP, GPU_V100
+from repro.gpusim.platform import (
+    GPU_A100,
+    GPU_TITAN_X,
+    GPU_TITAN_XP,
+    GPU_V100,
+    NVLINK_P2P_GBPS,
+)
 from repro.perfmodel.projection import (
     ProjectionConfig,
     fig7_series,
@@ -22,6 +28,11 @@ from repro.perfmodel.projection import (
 )
 
 CFG = ProjectionConfig(iterations=100)
+
+
+def _avg_tokens_per_sec(stats, series):
+    """Average tokens/sec over a projected series (Table 4's metric)."""
+    return stats.num_tokens * len(series) / (stats.num_tokens / series).sum()
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +73,22 @@ class TestTable4:
         assert 5.0 < max(ratios) < 9.0
 
     def test_volta_speedup_over_titan(self, table4):
-        """Paper §7.1: ~4.03x Volta/Titan (NYTimes+PubMed average 3.65-4x)."""
+        """Paper §7.1: ~4.03x Volta/Titan (NYTimes+PubMed average 3.65-4x),
+        and its "scales to future GPUs" claim tested forward on an A100:
+        NYTimes tracks the bandwidth ratio, and PubMed gains at least as
+        much because 40 GB makes it resident (no PCIe streaming)."""
         r = table4["NYTimes"]["Volta"] / table4["NYTimes"]["Titan"]
         assert 3.0 < r < 4.5
+
+        def a100_speedup(stats):
+            return _avg_tokens_per_sec(
+                stats, project_series(stats, GPU_A100, CFG)
+            ) / _avg_tokens_per_sec(stats, project_series(stats, GPU_V100, CFG))
+
+        bw_ratio = GPU_A100.peak_bandwidth_gbps / GPU_V100.peak_bandwidth_gbps
+        nyt = a100_speedup(NYTIMES)
+        assert nyt == pytest.approx(bw_ratio, rel=0.15)
+        assert a100_speedup(PUBMED) > 0.95 * nyt
 
 
 class TestTable5:
@@ -89,6 +113,12 @@ class TestFig7:
         s = fig7_series("NYTimes", CFG)["Volta"]
         assert s[-1] > 1.5 * s[0]                 # visible ramp
         assert abs(s[-1] - s[-10]) / s[-1] < 0.02  # flat tail
+        for dataset in ("NYTimes", "PubMed"):
+            series = fig7_series(dataset, CFG)
+            for platform in ("Titan", "Pascal", "Volta"):
+                s = series[platform]
+                assert s[-1] >= s[0], (dataset, platform)
+                assert abs(s[-1] - s[-5]) / s[-1] < 0.02, (dataset, platform)
 
     def test_pubmed_ramps_less_than_nytimes(self):
         """§7.1: PubMed's initial sparsity is higher, so its curve is
@@ -102,9 +132,11 @@ class TestFig7:
         beaten from early on (the very first iterations may cross — the
         paper's Titan curve also starts near WarpLDA's level)."""
         s = fig7_series("NYTimes", CFG)
-        assert np.all(s["Volta"] > s["Pascal"])
-        assert np.all(s["Pascal"] > s["Titan"])
         assert np.all(s["Titan"][5:] > s["WarpLDA"][5:])
+        for dataset in ("NYTimes", "PubMed"):
+            s = fig7_series(dataset, CFG)
+            assert np.all(s["Volta"] > s["Pascal"]), dataset
+            assert np.all(s["Pascal"] > s["Titan"]), dataset
 
     def test_warplda_series_flat(self):
         w = fig7_series("NYTimes", CFG)["WarpLDA"]
@@ -123,6 +155,13 @@ class TestFig9:
         f9 = fig9_scaling(CFG)
         assert 1.0 < f9[2]["speedup"] < 2.0
         assert f9[2]["speedup"] < f9[4]["speedup"] < 4.0
+        # Much of the 4-GPU shortfall is the PCIe sync tax: the same
+        # projection over the NVLink fabric §3 cites scales better.
+        nvlink = fig9_scaling(
+            ProjectionConfig(iterations=100, p2p_gbps=NVLINK_P2P_GBPS)
+        )
+        assert nvlink[4]["speedup"] > f9[4]["speedup"]
+        assert nvlink[4]["speedup"] > 3.2
 
 
 class TestIterationModel:
@@ -147,9 +186,20 @@ class TestIterationModel:
         assert pm["transfer"] > 0.0
 
     def test_higher_kd_slower(self):
+        """Per-token cost follows K_d, not K: a denser θ is slower, while
+        8x the topics (1k -> 8k, K_d saturating near the document
+        length) costs far less than 8x."""
         fast = project_iteration_seconds(NYTIMES, GPU_TITAN_X, CFG, kd_token=40.0)
         slow = project_iteration_seconds(NYTIMES, GPU_TITAN_X, CFG, kd_token=280.0)
         assert slow["total"] > fast["total"]
+
+        def tokens_per_sec(num_topics):
+            cfg = ProjectionConfig(num_topics=num_topics, iterations=100)
+            return _avg_tokens_per_sec(
+                NYTIMES, project_series(NYTIMES, GPU_V100, cfg)
+            )
+
+        assert tokens_per_sec(8192) > tokens_per_sec(1024) / 3.0
 
     def test_series_length(self):
         s = project_series(NYTIMES, GPU_TITAN_X, ProjectionConfig(iterations=17))

@@ -206,4 +206,4 @@ class TestSyncAlgorithmEquivalence:
         ring_allreduce_phi(m2, p, f, st, cfg)
         t_ring = m2.synchronize()
         # The ring should be at least competitive at G=4.
-        assert t_ring < 1.5 * t_tree
+        assert 0.2 * t_tree < t_ring < 1.5 * t_tree
