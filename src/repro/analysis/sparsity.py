@@ -102,7 +102,8 @@ def measure_kd_curve(
     curve = np.empty(iterations, dtype=np.float64)
     for it in range(iterations):
         new_topics, stats = gibbs_sample_chunk(
-            chunk, state.topics, state.theta, state.phi, state.n_k, hyper, rng
+            chunk, state.topics, state.theta, state.phi, state.n_k, hyper,
+            rng.random(chunk.num_tokens),
         )
         curve[it] = stats.mean_kd
         state.topics = new_topics

@@ -464,7 +464,7 @@ class LDAStar(Algorithm):
                 t_pull = t0
             new_topics, _ = gibbs_sample_chunk(
                 w.chunk, w.topics, w.theta, phi_local, n_k,
-                self.hyper, w.rng, self._config,
+                self.hyper, w.rng.random(w.chunk.num_tokens), self._config,
             )
             w.topics = new_topics
             w.theta = recount_theta(w.chunk, new_topics, K, compressed=False)

@@ -142,6 +142,11 @@ class ClusterNetwork:
     def _send_once(
         self, src: int, dst: int, nbytes: float, earliest: float
     ) -> tuple[float, float]:
+        # Both NICs must be in service before anything is reserved: a
+        # message to a downed destination never leaves, so it cannot
+        # occupy the sender's egress.
+        self.links[src].check_up()
+        self.links[dst].check_up()
         s1, e1 = self.links[src].reserve(nbytes, earliest, direction=0)
         s2, e2 = self.links[dst].reserve(nbytes, s1, direction=1)
         return s1, max(e1, e2)

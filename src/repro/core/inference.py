@@ -14,11 +14,19 @@ likelihood. The sampler reuses the training kernel
 (:func:`repro.core.kernels.gibbs_sample_chunk`) with φ frozen — the
 same vectorized path, so inference inherits the kernels' tested
 semantics.
+
+:func:`infer_documents` folds in one corpus or a batch of them. A batch
+is one combined word-first chunk, so each sweep is one sampling call and
+one θ recount for all of it — the shared p\\*/p₂ staging the GPU kernel
+amortizes across a chunk's documents. Each corpus still draws from its
+own RNG stream, in its own chunk order, so its result is bit-identical
+to folding it in alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,30 +58,42 @@ class InferenceResult:
 
 
 def infer_documents(
-    corpus: Corpus,
+    corpus: Corpus | Sequence[Corpus],
     phi: np.ndarray,
     hyper: LDAHyperParams,
     iterations: int = 20,
     burn_in: int | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     config: KernelConfig | None = None,
-) -> InferenceResult:
+) -> InferenceResult | list[InferenceResult]:
     """Fold *corpus* into a trained model.
 
     Parameters
     ----------
     corpus: unseen documents (word ids must index the training φ's
-        columns).
+        columns), or a sequence of such corpora folded in together.
     phi: trained ``int[K, V]`` topic–word counts (frozen).
     hyper: the training hyperparameters.
     iterations: Gibbs sweeps over the new documents.
     burn_in: sweeps before θ starts being averaged (default: half).
-    seed: RNG seed.
+    seed: RNG seed, or one seed per corpus when *corpus* is a sequence.
 
     Returns
     -------
-    :class:`InferenceResult` with the averaged, smoothed θ estimate.
+    :class:`InferenceResult` with the averaged, smoothed θ estimate, or
+    for a sequence of corpora a list of them in the same order. Each
+    corpus's result is bit-identical to folding it in alone: it draws
+    from its own ``default_rng(seed)`` in its own chunk order, and every
+    sampled quantity is per token or per document.
     """
+    single = isinstance(corpus, Corpus)
+    corpora = [corpus] if single else list(corpus)
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != len(corpora):
+        raise ValueError(
+            f"need one seed per corpus: got {len(seeds)} seeds for "
+            f"{len(corpora)} corpora"
+        )
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     phi = np.asarray(phi)
@@ -85,38 +105,53 @@ def infer_documents(
     K = hyper.num_topics
     if phi.shape[0] != K:
         raise ValueError(f"phi has {phi.shape[0]} topics, hyper says {K}")
-    if corpus.num_words > phi.shape[1]:
-        raise ValueError(
-            f"corpus vocabulary ({corpus.num_words}) exceeds phi columns "
-            f"({phi.shape[1]}); map unseen words before inference"
-        )
-    _check_word_ids(corpus, phi.shape[1])
+    V = phi.shape[1]
+    for part in corpora:
+        if part.num_words > V:
+            raise ValueError(
+                f"corpus vocabulary ({part.num_words}) exceeds phi columns "
+                f"({V}); map unseen words before inference"
+            )
+        _check_word_ids(part, V)
     config = config or KernelConfig(compressed=False)
     burn_in = iterations // 2 if burn_in is None else burn_in
     if not 0 <= burn_in < iterations:
         raise ValueError("burn_in must lie in [0, iterations)")
 
-    # Pad φ columns to the corpus vocabulary if phi is wider (fine) or
-    # equal; frozen statistics.
+    # Frozen statistics.
     phi64 = phi.astype(np.int64)
     n_k = phi64.sum(axis=1)
-    V = phi.shape[1]
-    if corpus.num_words < V:
-        corpus = Corpus(
-            corpus.token_word, corpus.doc_indptr, V, name=corpus.name
-        )
 
-    chunk = corpus.to_chunk()
-    rng = np.random.default_rng(seed)
-    topics = rng.integers(0, K, size=chunk.num_tokens).astype(np.int32)
+    # One word-first chunk over every corpus, padded to φ's width. The
+    # word sort is stable, so one corpus's tokens, taken in combined
+    # order, are in that corpus's own chunk order: ``own`` lists the
+    # combined positions corpus by corpus, and scattering each corpus's
+    # draws through it gives every token the draw it gets alone.
+    chunk = Corpus.concatenate(corpora, V).to_chunk()
+    sizes = [part.num_tokens for part in corpora]
+    owner = np.repeat(
+        np.arange(len(corpora)), [part.num_docs for part in corpora]
+    )
+    own = np.argsort(owner[chunk.token_doc], kind="stable")
+    rngs = [np.random.default_rng(s) for s in seeds]
+
+    def scattered(draws: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(chunk.num_tokens, dtype=draws[0].dtype)
+        out[own] = np.concatenate(draws)
+        return out
+
+    topics = scattered(
+        [rng.integers(0, K, size=n) for rng, n in zip(rngs, sizes)]
+    ).astype(np.int32)
     theta = recount_theta(chunk, topics, K, compressed=False)
 
     D = chunk.num_docs
     theta_accum = np.zeros((D, K), dtype=np.float64)
     samples = 0
     for it in range(iterations):
+        u = scattered([rng.random(n) for rng, n in zip(rngs, sizes)])
         topics, _ = gibbs_sample_chunk(
-            chunk, topics, theta, phi64, n_k, hyper, rng, config
+            chunk, topics, theta, phi64, n_k, hyper, u, config
         )
         theta = recount_theta(chunk, topics, K, compressed=False)
         if it >= burn_in:
@@ -128,13 +163,28 @@ def infer_documents(
     doc_topic = (mean_theta + hyper.alpha) / (
         lengths[:, None] + K * hyper.alpha
     )
-    ll = held_out_log_likelihood(corpus, doc_topic, phi64, n_k, hyper)
-    return InferenceResult(
-        theta=theta,
-        doc_topic=doc_topic,
-        log_likelihood_per_token=ll,
-        iterations=iterations,
-    )
+
+    # Each corpus owns a contiguous run of rows; its likelihood sums
+    # over its own tokens only, in its own order.
+    results = []
+    d_lo = 0
+    for part in corpora:
+        d_hi = d_lo + part.num_docs
+        lo, hi = theta.indptr[d_lo], theta.indptr[d_hi]
+        rows = doc_topic[d_lo:d_hi]
+        results.append(InferenceResult(
+            theta=SparseTheta(
+                theta.indptr[d_lo : d_hi + 1] - lo,
+                theta.indices[lo:hi], theta.data[lo:hi], K,
+            ),
+            doc_topic=rows,
+            log_likelihood_per_token=held_out_log_likelihood(
+                part, rows, phi64, n_k, hyper
+            ),
+            iterations=iterations,
+        ))
+        d_lo = d_hi
+    return results[0] if single else results
 
 
 def _check_word_ids(corpus: Corpus, vocab: int) -> None:

@@ -177,14 +177,18 @@ def gibbs_sample_chunk(
     phi: np.ndarray,
     n_k: np.ndarray,
     hyper: LDAHyperParams,
-    rng: np.random.Generator,
+    u: np.ndarray,
     config: KernelConfig | None = None,
 ) -> tuple[np.ndarray, SamplingStats]:
     """Sample a new topic for every token of *chunk* (Alg 2, vectorized).
 
-    Reads the iteration-start model ``(theta, phi, n_k)`` and returns
-    ``(new_topics, stats)``; does **not** mutate its inputs. The returned
-    topics use the same dtype as the input ``topics``.
+    Reads the iteration-start model ``(theta, phi, n_k)`` and one uniform
+    ``u[i]`` in [0, 1) per token, ``float64[T]`` in chunk order, and
+    returns ``(new_topics, stats)``; does **not** mutate its inputs and
+    draws no randomness of its own, so the caller owns the RNG stream
+    (training passes ``rng.random(chunk.num_tokens)``; batched fold-in
+    scatters each request's own draws into the combined chunk). The
+    returned topics use the same dtype as the input ``topics``.
 
     The vectorization reproduces the S/Q control flow exactly:
 
@@ -196,7 +200,7 @@ def gibbs_sample_chunk(
        row times the word's p* row in topic order, whose last entry is
        S (the "compute S & build p₁ tree" step, shared by every token of
        the pair);
-    3. one uniform draw per token over mass S + Q;
+    3. the token's uniform scaled to its mass S + Q;
     4. sparse-branch tokens take the first entry of their pair's p₁
        table above the draw (zero θ entries add exactly, so only the
        document's topics can be hit); dense-branch tokens search their
@@ -205,6 +209,10 @@ def gibbs_sample_chunk(
     config = config or KernelConfig()
     K, V = hyper.num_topics, chunk.num_words
     T = chunk.num_tokens
+    if u.shape != (T,):
+        raise ValueError(
+            f"need one uniform per token: u has shape {u.shape}, T={T}"
+        )
     if T == 0:
         return topics.copy(), SamplingStats(0, 0, 0, 1, 1)
 
@@ -232,7 +240,6 @@ def gibbs_sample_chunk(
     pair_doc = docs[pair_first[:-1]]
     pair_word = word_of[pair_first[:-1]]
 
-    u_all = rng.random(T)
     new_topics = np.empty(T, dtype=topics.dtype)
     sparse = np.empty(T, dtype=bool)
 
@@ -255,7 +262,7 @@ def gibbs_sample_chunk(
 
         # Masses and the branch draw.
         local = pair_of[lo:hi] - p_lo
-        target = u_all[lo:hi] * mass[local]
+        target = u[lo:hi] * mass[local]
         s_tok = S[local]
         is_p1 = target < s_tok
         sparse[lo:hi] = is_p1

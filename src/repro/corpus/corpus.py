@@ -239,6 +239,24 @@ class Corpus:
             name or f"{self.name}[{start}:{stop}]",
         )
 
+    @classmethod
+    def concatenate(
+        cls, corpora: Sequence["Corpus"], num_words: int, name: str = "corpus"
+    ) -> "Corpus":
+        """The documents of one or more *corpora*, in order, as one
+        corpus over a vocabulary of *num_words* (at least each part's)."""
+        indptrs = [np.zeros(1, dtype=np.int64)]
+        offset = 0
+        for part in corpora:
+            indptrs.append(part.doc_indptr[1:] + offset)
+            offset += part.num_tokens
+        return cls(
+            np.concatenate([part.token_word for part in corpora]),
+            np.concatenate(indptrs),
+            num_words,
+            name=name,
+        )
+
     def to_chunk(self) -> "TokenChunk":
         """Preprocess the whole corpus into a word-first :class:`TokenChunk`."""
         return TokenChunk.from_corpus_range(self, 0, self.num_docs)

@@ -88,6 +88,13 @@ class Link:
             return True
         return False
 
+    def check_up(self) -> None:
+        """Raise :class:`~repro.gpusim.errors.LinkDown` (counting the
+        failed transfer) when the link is out of service."""
+        if not self.up:
+            self.num_failed_transfers += 1
+            raise LinkDown(self.name)
+
     def reserve(self, nbytes: float, earliest: float, direction: int = 0) -> tuple[float, float]:
         """Reserve the link for *nbytes* starting no earlier than *earliest*.
 
@@ -99,9 +106,7 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if not self.up:
-            self.num_failed_transfers += 1
-            raise LinkDown(self.name)
+        self.check_up()
         if self._fail_next > 0:
             self._fail_next -= 1
             self.num_failed_transfers += 1

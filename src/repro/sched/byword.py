@@ -197,7 +197,7 @@ def train_by_word(
             def body(g: int = g, ch: TokenChunk = ch) -> None:
                 new_topics, _ = gibbs_sample_chunk(
                     ch, topics[g], theta_sparse, phi, n_k, hyper,
-                    rngs[g], kcfg,
+                    rngs[g].random(ch.num_tokens), kcfg,
                 )
                 topics[g] = new_topics
 

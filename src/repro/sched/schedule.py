@@ -271,7 +271,7 @@ def enqueue_chunk_compute(
             worker.phi_full.data,
             worker.n_k.data,
             hyper,
-            cr.rng,
+            cr.rng.random(ch.num_tokens),
             config,
         )
         dc.topics.data[...] = new_topics

@@ -14,11 +14,13 @@ clock for three things, the same way training does:
 3. **result download** — the stacked ``doc_topic`` rows back to the
    host.
 
-Functionally each request runs its own
-:func:`repro.core.inference.infer_documents` with its own seed, so the
-payload is bit-identical to a direct call — batching, placement, and
-failover only move *time*, never bits. The fault surface is the same
-as training's: a dead device raises
+Functionally the batch is folded in by one
+:func:`repro.core.inference.infer_documents` call over all its requests
+(one per distinct sweep count), so the host also samples the combined
+chunk: one sampling call per sweep for the whole batch. Each request
+keeps its own seed and RNG stream, so its payload is bit-identical to a
+direct call — batching, placement, and failover only move *time*, never
+bits. The fault surface is the same as training's: a dead device raises
 :class:`~repro.gpusim.errors.DeviceLost` at enqueue, a dead or flaky
 uplink raises :class:`~repro.gpusim.errors.LinkDown` at the link
 reservation, an armed kernel fault raises
@@ -49,19 +51,7 @@ from repro.gpusim.kernel import KernelLaunch
 from repro.gpusim.memory import DeviceArray, DeviceOutOfMemoryError
 from repro.serve.request import InferenceRequest
 
-__all__ = ["PhiReplica", "BatchExecution", "foldin_batch_cost", "batch_corpus"]
-
-
-def batch_corpus(batch: list[InferenceRequest], num_words: int) -> Corpus:
-    """The batch's documents concatenated into one corpus.
-
-    Only used for cost accounting and transfer sizing — the functional
-    fold-in stays per-request (own corpus, own RNG stream).
-    """
-    docs: list[tuple[int, ...]] = []
-    for req in batch:
-        docs.extend(req.docs)
-    return Corpus.from_documents(docs, num_words=num_words, name="serve-batch")
+__all__ = ["PhiReplica", "BatchExecution", "foldin_batch_cost"]
 
 
 def foldin_batch_cost(
@@ -220,11 +210,18 @@ class PhiReplica:
         """
         machine = self.device.machine
         num_words = int(phi.shape[1])
-        combined = batch_corpus(batch, num_words)
-        iterations = max(
+        corpora = [
+            Corpus.from_documents(
+                req.docs, num_words=num_words, name=f"req{req.request_id}"
+            )
+            for req in batch
+        ]
+        combined = Corpus.concatenate(corpora, num_words, name="serve-batch")
+        sweeps = [
             req.iterations if req.iterations is not None else default_iterations
             for req in batch
-        )
+        ]
+        iterations = max(sweeps)
         cost = foldin_batch_cost(combined, hyper, config, iterations)
 
         token_buf = DeviceArray(
@@ -239,24 +236,19 @@ class PhiReplica:
             )
 
             def run_foldin() -> list[InferenceResult]:
-                return [
-                    infer_documents(
-                        Corpus.from_documents(
-                            req.docs, num_words=num_words,
-                            name=f"req{req.request_id}",
-                        ),
-                        phi,
-                        hyper,
-                        iterations=(
-                            req.iterations
-                            if req.iterations is not None
-                            else default_iterations
-                        ),
-                        seed=req.seed,
+                groups: dict[int, list[int]] = {}
+                for i, n in enumerate(sweeps):
+                    groups.setdefault(n, []).append(i)
+                results: list[InferenceResult] = [None] * len(batch)
+                for n, members in groups.items():
+                    folded = infer_documents(
+                        [corpora[i] for i in members], phi, hyper,
+                        iterations=n, seed=[batch[i].seed for i in members],
                         config=config,
                     )
-                    for req in batch
-                ]
+                    for i, result in zip(members, folded):
+                        results[i] = result
+                return results
 
             kernel_start, kernel_end, results = KernelLaunch(
                 fn=run_foldin,

@@ -9,6 +9,7 @@ from repro.baselines.ldastar import LDAStar
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.core.model import LDAHyperParams
+from repro.gpusim.errors import SyncPathError
 
 
 class TestClusterNetwork:
@@ -34,6 +35,17 @@ class TestClusterNetwork:
         _, e1 = net.send(0, 1, 1e9, 0.0)
         s2, _ = net.send(2, 3, 1e9, 0.0)  # disjoint: no contention
         assert s2 == 0.0
+
+    def test_send_to_downed_node_holds_no_egress(self):
+        """A message to a dead destination never leaves, so the
+        sender's NIC stays free for its next message."""
+        net = ClusterNetwork(3, link_gbps=1.0, latency_seconds=0.0)
+        net.fail_node(2)
+        with pytest.raises(SyncPathError):
+            net.send(0, 2, 1e9, 0.0)
+        assert net.links[0].busy_until(0) == 0.0
+        assert net.links[0].bytes_carried == 0.0
+        assert net.send(0, 1, 1e9, 0.0)[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
@@ -335,6 +335,8 @@ def _measure(backend_name, num_nodes, dead, scales, shape, num_shards):
 
 class TestClusterPlannerProperties:
     @given(cluster_cases())
+    # A failed push to a dead primary must not hold the sender's NIC.
+    @example((4, frozenset({0}), [1.0, 1.0, 0.25, 1.0], (1, 1)))
     @settings(max_examples=40, deadline=None)
     def test_auto_matches_measured_cheapest(self, case):
         num_nodes, dead, scales, shape = case

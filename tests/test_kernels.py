@@ -33,7 +33,7 @@ def _run_iterations(corpus, hyper, iterations, seed=0, config=None):
     for _ in range(iterations):
         new_topics, stats = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper, rng, config,
+            hyper, rng.random(chunk.num_tokens), config,
         )
         state.topics = new_topics
         state.theta = recount_theta(chunk, new_topics, hyper.num_topics)
@@ -50,7 +50,7 @@ class TestGibbsSampleChunk:
         topics_before = state.topics.copy()
         gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, rng,
+            hyper8, rng.random(chunk.num_tokens),
         )
         assert np.array_equal(state.phi, phi_before)
         assert np.array_equal(state.topics, topics_before)
@@ -60,7 +60,7 @@ class TestGibbsSampleChunk:
         state = LDAState.initialize(chunk, hyper8, seed=0)
         out, stats = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, rng,
+            hyper8, rng.random(chunk.num_tokens),
         )
         assert out.shape == state.topics.shape
         assert out.dtype == state.topics.dtype
@@ -72,11 +72,11 @@ class TestGibbsSampleChunk:
         state = LDAState.initialize(chunk, hyper8, seed=0)
         a, _ = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, np.random.default_rng(7),
+            hyper8, np.random.default_rng(7).random(chunk.num_tokens),
         )
         b, _ = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, np.random.default_rng(7),
+            hyper8, np.random.default_rng(7).random(chunk.num_tokens),
         )
         assert np.array_equal(a, b)
 
@@ -89,11 +89,11 @@ class TestGibbsSampleChunk:
         tiny = KernelConfig(token_slab=64)
         a, _ = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, np.random.default_rng(3), big,
+            hyper8, np.random.default_rng(3).random(chunk.num_tokens), big,
         )
         b, _ = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, np.random.default_rng(3), tiny,
+            hyper8, np.random.default_rng(3).random(chunk.num_tokens), tiny,
         )
         assert np.array_equal(a, b)
 
@@ -102,7 +102,7 @@ class TestGibbsSampleChunk:
         state = LDAState.initialize(chunk, hyper8, seed=0)
         _, stats = gibbs_sample_chunk(
             chunk, state.topics, state.theta, state.phi, state.n_k,
-            hyper8, rng,
+            hyper8, rng.random(chunk.num_tokens),
         )
         row_len = np.diff(state.theta.indptr)
         expected = int(row_len[chunk.token_doc].sum())
@@ -131,7 +131,7 @@ class TestGibbsSampleChunk:
         for s in range(4000):
             out, _ = gibbs_sample_chunk(
                 chunk, state.topics, state.theta, state.phi, state.n_k,
-                hyper8, np.random.default_rng(s),
+                hyper8, np.random.default_rng(s).random(chunk.num_tokens),
             )
             draws.append(int(out[0]))
         observed = np.bincount(draws, minlength=hyper8.num_topics)
@@ -176,7 +176,7 @@ class TestGibbsSampleChunk:
         phi = np.zeros((8, 3), dtype=np.int32)
         out, stats = gibbs_sample_chunk(
             chunk, topics, theta, phi, np.zeros(8, dtype=np.int64),
-            hyper8, rng,
+            hyper8, rng.random(chunk.num_tokens),
         )
         assert out.size == 0
         assert stats.num_tokens == 0
@@ -387,11 +387,10 @@ class TestAgainstReference:
         n_k = phi.sum(axis=1, dtype=np.int64) + gen.integers(0, 50, num_topics)
         config = KernelConfig(token_slab=int(gen.integers(1, 4 * num_topics)))
 
-        out, stats = gibbs_sample_chunk(
-            chunk, topics, theta, phi, n_k, hyper,
-            np.random.default_rng(seed), config,
-        )
         u = np.random.default_rng(seed).random(chunk.num_tokens)
+        out, stats = gibbs_sample_chunk(
+            chunk, topics, theta, phi, n_k, hyper, u, config,
+        )
         ref, counts, near, branch_tie = _reference_sample(
             chunk, theta, phi, n_k, hyper, u, config.tree_fanout
         )

@@ -112,7 +112,7 @@ class TestBehaviour:
         for _ in range(10):
             new_topics, _ = gibbs_sample_chunk(
                 chunk, state.topics, state.theta, state.phi, state.n_k,
-                hyper, rng,
+                hyper, rng.random(chunk.num_tokens),
             )
             state.topics = new_topics
             state.theta = recount_theta(chunk, new_topics, 16)

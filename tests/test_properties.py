@@ -143,8 +143,8 @@ class TestModelProperties:
         phi = accumulate_phi(chunk, topics, k)
         n_k = phi.sum(axis=1, dtype=np.int64)
         new_topics, stats = gibbs_sample_chunk(
-            chunk, topics, theta, phi, n_k, hyper, rng,
-            KernelConfig(compressed=False),
+            chunk, topics, theta, phi, n_k, hyper,
+            rng.random(chunk.num_tokens), KernelConfig(compressed=False),
         )
         assert new_topics.shape == topics.shape
         if chunk.num_tokens:
