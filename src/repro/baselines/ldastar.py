@@ -70,10 +70,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.platform import CPU_E5_2690V4
 from repro.sched.partition import partition_by_tokens
 
-__all__ = ["LDAStar", "LDAStarResult"]
-
-#: Historical alias — LDA* now returns the unified engine result.
-LDAStarResult = TrainResult
+__all__ = ["LDAStar"]
 
 
 class _Worker:

@@ -8,7 +8,7 @@ Seven subcommands::
     repro-lda profile  # instrumented run: breakdown, Gantt, counters
     repro-lda serve    # replay a request trace through the online service
     repro-lda loadgen  # Poisson open-loop load test of the service
-    repro-lda bench    # run the benchmark suite / regression gate
+    repro-lda bench    # run the benchmark suite / exact-match gate
 
 Examples
 --------
@@ -29,8 +29,7 @@ Examples
     repro-lda loadgen --model model.npz --rate 2000 --duration 0.05 \
         --gpus 2 --deadline 0.01 --metrics serve.prom
     repro-lda loadgen --model model.npz --smoke      # CI-sized preset
-    repro-lda bench --tier quick --out BENCH_ci.json \
-        --compare BENCH_10.json               # CI regression gate
+    repro-lda bench --out BENCH_ci.json --compare BENCH.json  # CI gate
     repro-lda loadgen --model model.npz --chaos --gpus 4 \
         --hedge-quantile 0.9 --request-trace-chrome spans.json
     repro-lda profile --serve-trace spans.jsonl      # request critical paths
@@ -335,22 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser(
         "bench",
-        help="run the curated benchmark suite; write a BENCH_*.json "
-        "snapshot and optionally gate against a baseline",
+        help="run the curated benchmark suite; write a snapshot and "
+        "optionally gate against a baseline",
     )
-    b.add_argument("--tier", choices=("quick", "full"), default="quick",
-                   help="quick = the CI subset; full adds the larger "
-                   "scenarios (tiers select scenarios, never shrink "
-                   "workloads)")
     b.add_argument("--only", metavar="SUBSTR",
-                   help="run only scenarios whose name contains SUBSTR")
+                   help="run only scenarios whose name contains SUBSTR "
+                   "(--compare then checks the same selection of the "
+                   "baseline)")
     b.add_argument("--list", action="store_true", dest="list_scenarios",
                    help="list the selected scenarios and exit")
     b.add_argument("--out", metavar="FILE",
                    help="write the snapshot JSON (schema repro-bench/1)")
     b.add_argument("--compare", metavar="BASELINE.json",
                    help="compare against a baseline snapshot; exit 1 "
-                   "on any gated regression")
+                   "unless every scenario and metric matches it exactly")
     b.add_argument("--verbose", action="store_true",
                    help="show unchanged metrics in the --compare table")
 
@@ -606,15 +603,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from repro.core import CuLDA, TrainConfig
-    from repro.core.culda import BREAKDOWN_KINDS
     from repro.engine import TrainingFailure
     from repro.gpusim.platform import make_machine
-    from repro.obs.profiling import (
-        ELASTICITY_COUNTERS,
-        counter_total,
-        profile_json,
-    )
-    from repro.sched.schedule import busy_fractions
+    from repro.obs.profiling import format_profile, profile_json
     from repro.telemetry import JSONLEmitter, MetricsRegistry
     from repro.telemetry.exporters import merged_chrome_json, to_prometheus
 
@@ -667,101 +658,28 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _print_training_failure(exc)
         return 1
 
-    if args.format == "json":
-        report = profile_json(
-            result, machine, registry, corpus.name, args.topics,
-            top=args.top,
-        )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        if args.trace:
-            with open(args.trace, "w") as fh:
-                fh.write(merged_chrome_json(machine.trace,
-                                            trainer.host_trace))
-        if args.metrics:
-            with open(args.metrics, "w") as fh:
-                fh.write(to_prometheus(registry))
-        return 0
-
-    print(f"profile: {corpus.name} on {machine.name}, "
-          f"K={args.topics}, {len(result.iterations)} iteration(s)")
-    print(f"simulated time {result.total_sim_seconds * 1e3:.3f} ms, "
-          f"throughput {result.avg_tokens_per_sec / 1e6:.1f} M tokens/s, "
-          f"wall {result.wall_seconds:.2f} s")
-    print()
-
-    print("time breakdown (simulated clock):")
-    breakdown = machine.trace.breakdown_fractions(BREAKDOWN_KINDS)
-    for kind in BREAKDOWN_KINDS:
-        share = breakdown.get(kind, 0.0)
-        if share > 0:
-            print(f"  {kind:<14s} {share * 100:5.1f}%")
-    print()
-
-    t1 = machine.trace.makespan()
-    busy = busy_fractions(
-        machine.trace.intervals,
-        [g.device_id for g in machine.gpus],
-        0.0,
-        t1,
+    report = profile_json(
+        result, machine, registry, corpus.name, args.topics, top=args.top,
     )
-    print("device busy fractions:")
-    for dev in sorted(busy):
-        print(f"  gpu{dev}  {busy[dev]:.1%}")
-    print()
-
-    print(f"top counters (of {len(registry)} metric families):")
-    for s in registry.top_counters(args.top):
-        label_s = ",".join(f"{k}={v}" for k, v in sorted(s.labels.items()))
-        name = f"{s.name}{{{label_s}}}" if label_s else s.name
-        print(f"  {name:<56s} {s.value:>14,.0f}")
-    print()
-
-    from repro.comm import decisions_from_registry
-
-    decisions = decisions_from_registry(registry)
-    if decisions:
-        print("sync planner decisions:")
-        for d in decisions:
-            mode = "forced" if d["forced"] else "auto"
-            line = (f"  {d['algorithm']:<14s} on {d['topology']:<18s} "
-                    f"x{d['count']:<4d} ({mode}")
-            if "predicted_seconds" in d:
-                line += f", predicted {d['predicted_seconds'] * 1e6:.1f} us"
-            print(line + ")")
-        print()
-
-    if result.fault_events:
-        print(f"fault events ({len(result.fault_events)} injected, "
-              f"{result.rollbacks} rollback(s), "
-              f"{result.repartitions} repartition(s)):")
-        for event in result.fault_events:
-            detail = " ".join(
-                f"{k}={v}" for k, v in event.items() if k != "kind"
-            )
-            print(f"  {event['kind']:<24s} {detail}")
-        print()
-
-    elasticity = {
-        name: counter_total(registry, name) for name in ELASTICITY_COUNTERS
-    }
-    if any(elasticity.values()):
-        print("node recovery:")
-        for name in ELASTICITY_COUNTERS:
-            print(f"  {name:<40s} {elasticity[name]:>14,.3f}")
-        print()
-
-    print("timeline (text Gantt):")
-    print(machine.trace.gantt_text(width=80))
+    text = args.format == "text"
+    if text:
+        print(format_profile(report, len(registry)))
+        print("timeline (text Gantt):")
+        print(machine.trace.gantt_text(width=80))
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
 
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(merged_chrome_json(machine.trace, trainer.host_trace))
-        print(f"chrome trace written to {args.trace}")
+        if text:
+            print(f"chrome trace written to {args.trace}")
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(to_prometheus(registry))
-        print(f"prometheus metrics written to {args.metrics}")
-    if args.events:
+        if text:
+            print(f"prometheus metrics written to {args.metrics}")
+    if args.events and text:
         print(f"event stream written to {args.events}")
     return 0
 
@@ -993,17 +911,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.list_scenarios:
         import repro.obs.scenarios  # noqa: F401  (populates REGISTRY)
 
-        scenarios = REGISTRY.select(args.tier, args.only)
+        scenarios = REGISTRY.select(args.only)
         if not scenarios:
             print("no scenarios match the selection", file=sys.stderr)
             return 2
         for s in scenarios:
-            print(f"{s.name:<36s} [{s.tier:<5s}] {s.description}")
+            print(f"{s.name:<36s} {s.description}")
         return 0
 
     try:
         snapshot = run_suite(
-            tier=args.tier, only=args.only,
+            only=args.only,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
     except ValueError as exc:
@@ -1019,6 +937,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load baseline: {exc}", file=sys.stderr)
             return 2
+        if args.only:
+            baseline["scenarios"] = {
+                name: entry for name, entry in baseline["scenarios"].items()
+                if args.only in name
+            }
         deltas = compare_snapshots(baseline, snapshot)
         print()
         print(f"comparison against {args.compare} "

@@ -5,27 +5,25 @@ single ``.npz`` files — the library equivalent of the paper's
 "CPU collects the trained model from all GPUs" final step (Alg 1,
 lines 17–20).
 
-Format version 2 adds two things over version 1:
+Format version 3 is the only format read or written. A checkpoint
+holds:
 
-- θ became optional (SCVB0 keeps expected counts, not a CSR θ) and
-  every checkpoint records which algorithm wrote it, so any trainer's
-  output feeds ``repro-lda infer`` / ``project``;
-- :func:`save_run_state` / :func:`load_run_state` persist the *full*
-  sampler state (per-shard topic assignments, θ counts, RNG stream
-  positions, iteration history) so a run can stop mid-way and resume
-  bit-identically. A run-state file is a superset of a model
-  checkpoint: :func:`load_model` reads it too.
+- φ, the hyperparameters, the corpus name and the algorithm that wrote
+  it; θ is optional (SCVB0 keeps expected counts, not a CSR θ), so any
+  trainer's output feeds ``repro-lda infer`` / ``project``;
+- with :func:`save_run_state`, the *full* sampler state (per-shard
+  topic assignments, θ counts, RNG stream positions, iteration
+  history), so a run can stop mid-way and resume bit-identically. A
+  run-state file is a superset of a model checkpoint:
+  :func:`load_model` reads it too.
 
-Format version 3 hardens the files against crashes and bit rot:
-
-- every checkpoint is written atomically (temp file in the same
-  directory + ``os.replace``), so a crash mid-write can never leave a
-  half-written file under the checkpoint's name;
-- every checkpoint embeds a SHA-256 digest over its canonical contents;
-  loading verifies it and rejects truncated or corrupted files with an
-  error naming the file and the expected vs actual digest.
-
-Version 1 and 2 files (which predate the checksum) remain loadable.
+Every checkpoint is written atomically (temp file in the same
+directory + ``os.replace``), so a crash mid-write can never leave a
+half-written file under the checkpoint's name. Every checkpoint embeds
+a SHA-256 digest over its canonical contents; loading verifies it and
+rejects truncated, corrupted or checksum-less files with an error
+naming the file. Files of an older format are rejected as
+"unsupported checkpoint version".
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 3
-
-#: Versions ``load_model`` accepts (v1 lacked ``algo`` and optional θ;
-#: v1/v2 lacked the integrity checksum).
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: IterationStats history, serialized as parallel arrays.
 _HISTORY_FLOAT_FIELDS = (
@@ -123,16 +117,19 @@ def _load_npz(path: Path):
         ) from exc
 
 
-def _verify_checksum(data, path: Path, version: int) -> None:
-    """Verify the embedded digest; v1/v2 files (no checksum) pass."""
+def _verify(data, path: Path) -> None:
+    """Check the file's version and verify its embedded digest."""
+    version = int(data["format_version"])
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint version {version} in {path} "
+            f"(expected {FORMAT_VERSION})"
+        )
     if "checksum" not in data.files:
-        if version >= 3:
-            raise ValueError(
-                f"checkpoint {path} (format {version}) is missing its "
-                "integrity checksum; the file was tampered with or "
-                "written by a broken writer"
-            )
-        return
+        raise ValueError(
+            f"checkpoint {path} is missing its integrity checksum; the "
+            "file was tampered with or written by a broken writer"
+        )
     expected = str(data["checksum"])
     try:
         fields = {
@@ -220,31 +217,26 @@ def save_model(result, path: str | Path, vocabulary=None) -> None:
 
 
 def load_model(path: str | Path) -> ModelCheckpoint:
-    """Load a checkpoint written by :func:`save_model` (format 1 or 2)
-    or :func:`save_run_state`.
+    """Load a checkpoint written by :func:`save_model` or
+    :func:`save_run_state`.
 
     Raises
     ------
     ValueError
-        On missing fields or an unsupported format version.
+        On missing fields, an unsupported format version or a failed
+        integrity check.
     """
     path = Path(path)
     with _load_npz(path) as data:
         try:
-            version = int(data["format_version"])
-            if version not in _SUPPORTED_VERSIONS:
-                raise ValueError(
-                    f"unsupported checkpoint version {version} "
-                    f"(expected one of {_SUPPORTED_VERSIONS})"
-                )
-            _verify_checksum(data, path, version)
+            _verify(data, path)
             hyper = LDAHyperParams(
                 num_topics=int(data["num_topics"]),
                 alpha=float(data["alpha"]),
                 beta=float(data["beta"]),
             )
             theta = None
-            if version == 1 or "theta_indptr" in data.files:
+            if "theta_indptr" in data.files:
                 theta = SparseTheta(
                     data["theta_indptr"],
                     data["theta_indices"],
@@ -255,14 +247,13 @@ def load_model(path: str | Path) -> ModelCheckpoint:
             if "vocabulary" in data.files:
                 vocab = Vocabulary(str(w) for w in data["vocabulary"])
                 vocab.freeze()
-            algo = str(data["algo"]) if "algo" in data.files else "culda"
             return ModelCheckpoint(
                 phi=np.asarray(data["phi"]),
                 theta=theta,
                 hyper=hyper,
                 corpus_name=str(data["corpus_name"]),
                 vocabulary=vocab,
-                algo=algo,
+                algo=str(data["algo"]),
             )
         except KeyError as exc:
             raise ValueError(f"malformed checkpoint {path}: missing {exc}") from exc
@@ -342,13 +333,7 @@ def load_run_state(path: str | Path) -> RunState:
     path = Path(path)
     with _load_npz(path) as data:
         try:
-            version = int(data["format_version"])
-            if version not in _SUPPORTED_VERSIONS:
-                raise ValueError(
-                    f"unsupported checkpoint version {version} "
-                    f"(expected one of {_SUPPORTED_VERSIONS})"
-                )
-            _verify_checksum(data, path, version)
+            _verify(data, path)
             if "run_iteration" not in data.files:
                 raise ValueError(
                     f"{path} is a model checkpoint, not a run-state "

@@ -1,4 +1,4 @@
-"""Performance observatory: benchmark snapshots and the regression gate.
+"""Performance observatory: benchmark snapshots and the exact-match gate.
 
 ``repro.obs`` turns the repo's performance surface into a curated,
 versioned artifact:
@@ -7,7 +7,8 @@ versioned artifact:
   :class:`Measurement` gate direction.
 - :mod:`repro.obs.scenarios` — the curated suite (train / sync / serve
   groups); importing it populates :data:`REGISTRY`.
-- :mod:`repro.obs.snapshot` — run the suite, write/load ``BENCH_<n>.json``.
+- :mod:`repro.obs.snapshot` — run the suite, write/load snapshots (the
+  committed baseline is ``BENCH.json``).
 - :mod:`repro.obs.compare` — bit-stable snapshot comparison; the
   ``bench --compare`` CI gate.
 - :mod:`repro.obs.workloads` — seeded workload builders for the scenarios.

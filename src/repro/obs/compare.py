@@ -1,21 +1,25 @@
-"""Snapshot comparison and the CI regression gate.
+"""Snapshot comparison and the CI gate.
 
-:func:`compare_snapshots` walks every scenario/metric pair two
-snapshots share and classifies each into a verdict:
+:func:`compare_snapshots` walks every scenario and metric of a run and
+its baseline and gives each row one verdict:
 
-- ``ok`` — unchanged.
-- ``regressed`` — worse than the baseline. **Gates.**
-- ``improved`` — better. Not a failure, but the delta table flags it:
-  refresh the committed snapshot so the new level becomes the baseline.
+- ``ok`` — present on both sides, same params digest, same value.
+- ``regressed`` — worse than the baseline.
+- ``improved`` — better than the baseline.
 - ``drift`` — an ``info``-direction metric changed (e.g. a likelihood
-  value after a numerics change). Reported, not gated.
-- ``skipped`` — a scenario whose params digest changed (different
-  workload = new baseline, not a comparison).
+  value after a numerics change).
+- ``digest`` — the scenario's workload params changed.
+- ``missing`` — in the baseline, not in the run.
+- ``added`` — in the run, not in the baseline.
 
-Every metric is simulated-clock or otherwise deterministic, so it must
-be **bit-stable**: values are compared with a relative epsilon of 1e-9
-— just enough to absorb JSON round-tripping — and anything beyond that
-is a real change. Host wall-clock speed is gated by ``perfbench/``.
+The gate is one rule: **every row must be ok.** Every metric is
+simulated-clock or otherwise deterministic, so it must be bit-stable;
+values are compared with a relative epsilon of 1e-9 — just enough to
+absorb JSON round-tripping — and anything beyond that is a real
+change, whichever way it went. The verdict only says which way it
+moved. A change that moves a metric on purpose refreshes the committed
+baseline (``BENCH.json``) and names the metric in ``CHANGES.md``. Host
+wall-clock speed is gated by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ __all__ = ["Delta", "compare_snapshots", "format_deltas", "gate"]
 #: float round-tripping, nothing more.
 EXACT_REL_EPS = 1e-9
 
-VERDICTS = ("ok", "regressed", "improved", "drift", "skipped")
+VERDICTS = (
+    "ok", "regressed", "improved", "drift", "digest", "missing", "added",
+)
+
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ def _compare_metric(
     if old.direction == "info":
         return Delta(
             scenario, metric, old.value, new.value, "drift",
-            "deterministic info metric changed",
+            "info metric changed",
         )
     worse = (
         new.value > old.value
@@ -82,31 +90,54 @@ def _compare_metric(
     if worse:
         return Delta(
             scenario, metric, old.value, new.value, "regressed",
-            "simulated-clock metric is bit-stable; this is a real change",
+            "worse than the baseline",
         )
     return Delta(
         scenario, metric, old.value, new.value, "improved",
-        "refresh the snapshot to adopt the new baseline",
+        "better than the baseline",
     )
 
 
+def _one_sided(
+    scenario: str, metric: str, in_old: bool, value: float
+) -> Delta:
+    """A scenario (``metric == "*"``) or metric that one side lacks."""
+    if in_old:
+        return Delta(scenario, metric, value, _NAN, "missing",
+                     "in the baseline, not in this run")
+    return Delta(scenario, metric, _NAN, value, "added",
+                 "in this run, not in the baseline")
+
+
 def compare_snapshots(old: dict, new: dict) -> list[Delta]:
-    """Classify every shared scenario/metric pair; see module docs."""
+    """One row per scenario/metric on either side; see module docs."""
     deltas: list[Delta] = []
     old_scenarios = old["scenarios"]
     new_scenarios = new["scenarios"]
-    for name in sorted(set(old_scenarios) & set(new_scenarios)):
+    for name in sorted(set(old_scenarios) | set(new_scenarios)):
+        if name not in old_scenarios or name not in new_scenarios:
+            deltas.append(
+                _one_sided(name, "*", name in old_scenarios, _NAN)
+            )
+            continue
         o, n = old_scenarios[name], new_scenarios[name]
         if o.get("digest") != n.get("digest"):
             deltas.append(
                 Delta(
-                    name, "*", float("nan"), float("nan"), "skipped",
-                    "workload params changed — new baseline, not comparable",
+                    name, "*", _NAN, _NAN, "digest",
+                    "workload params changed",
                 )
             )
             continue
         o_metrics, n_metrics = o["metrics"], n["metrics"]
-        for metric in sorted(set(o_metrics) & set(n_metrics)):
+        for metric in sorted(set(o_metrics) | set(n_metrics)):
+            if metric not in o_metrics or metric not in n_metrics:
+                in_old = metric in o_metrics
+                record = (o_metrics if in_old else n_metrics)[metric]
+                deltas.append(
+                    _one_sided(name, metric, in_old, float(record["value"]))
+                )
+                continue
             deltas.append(
                 _compare_metric(
                     name, metric,
@@ -118,8 +149,8 @@ def compare_snapshots(old: dict, new: dict) -> list[Delta]:
 
 
 def gate(deltas: list[Delta]) -> list[Delta]:
-    """The deltas that fail the merge gate (regressions only)."""
-    return [d for d in deltas if d.verdict == "regressed"]
+    """The deltas that fail the gate: every row that is not ``ok``."""
+    return [d for d in deltas if d.verdict != "ok"]
 
 
 def format_deltas(deltas: list[Delta], verbose: bool = False) -> str:
@@ -155,8 +186,9 @@ def format_deltas(deltas: list[Delta], verbose: bool = False) -> str:
     if failures:
         names = ", ".join(sorted({d.scenario for d in failures}))
         lines.append(
-            f"GATE: {len(failures)} regression(s) in: {names}"
+            f"GATE: {len(failures)} row(s) differ from the baseline in: "
+            f"{names}"
         )
     else:
-        lines.append("GATE: clean — no regressions")
+        lines.append("GATE: clean — every metric matches the baseline")
     return "\n".join(lines)

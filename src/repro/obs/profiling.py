@@ -22,6 +22,9 @@ One profile run emits one JSON document with schema ``repro-profile/1``::
 The schema is append-only: new keys may appear in later versions, but
 existing keys keep their meaning, so downstream tooling can pin on
 ``schema == "repro-profile/1"`` and read what it knows.
+
+:func:`format_profile` renders the same document as the text report
+``repro-lda profile`` prints by default.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "ELASTICITY_COUNTERS",
     "PROFILE_SCHEMA",
     "counter_total",
+    "format_profile",
     "profile_json",
 ]
 
@@ -101,3 +105,65 @@ def profile_json(
         },
         "sync_planner": decisions_from_registry(registry),
     }
+
+
+def format_profile(report: dict, num_families: int) -> str:
+    """The text report for one :func:`profile_json` document.
+
+    *num_families* is the registry's metric-family count, shown in the
+    counters heading. Sections with nothing to show are left out.
+    """
+    lines = [
+        f"profile: {report['corpus']} on {report['machine']}, "
+        f"K={report['num_topics']}, {report['iterations']} iteration(s)",
+        f"simulated time {report['simulated_seconds'] * 1e3:.3f} ms, "
+        f"throughput {report['tokens_per_sec'] / 1e6:.1f} M tokens/s, "
+        f"wall {report['wall_seconds']:.2f} s",
+        "",
+        "time breakdown (simulated clock):",
+    ]
+    for kind, share in report["breakdown"].items():
+        if share > 0:
+            lines.append(f"  {kind:<14s} {share * 100:5.1f}%")
+    lines += ["", "device busy fractions:"]
+    for dev, busy in report["device_busy"].items():
+        lines.append(f"  {dev}  {busy:.1%}")
+    lines += ["", f"top counters (of {num_families} metric families):"]
+    for c in report["counters"]:
+        label_s = ",".join(f"{k}={v}" for k, v in sorted(c["labels"].items()))
+        name = f"{c['name']}{{{label_s}}}" if label_s else c["name"]
+        lines.append(f"  {name:<56s} {c['value']:>14,.0f}")
+    lines.append("")
+
+    if report["sync_planner"]:
+        lines.append("sync planner decisions:")
+        for d in report["sync_planner"]:
+            mode = "forced" if d["forced"] else "auto"
+            line = (f"  {d['algorithm']:<14s} on {d['topology']:<18s} "
+                    f"x{d['count']:<4d} ({mode}")
+            if "predicted_seconds" in d:
+                line += f", predicted {d['predicted_seconds'] * 1e6:.1f} us"
+            lines.append(line + ")")
+        lines.append("")
+
+    faults = report["faults"]
+    if faults["events"]:
+        lines.append(
+            f"fault events ({len(faults['events'])} injected, "
+            f"{faults['rollbacks']} rollback(s), "
+            f"{faults['repartitions']} repartition(s)):"
+        )
+        for event in faults["events"]:
+            detail = " ".join(
+                f"{k}={v}" for k, v in event.items() if k != "kind"
+            )
+            lines.append(f"  {event['kind']:<24s} {detail}")
+        lines.append("")
+
+    elasticity = report["elasticity"]
+    if any(elasticity.values()):
+        lines.append("node recovery:")
+        for name, value in elasticity.items():
+            lines.append(f"  {name:<40s} {value:>14,.3f}")
+        lines.append("")
+    return "\n".join(lines)

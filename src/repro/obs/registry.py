@@ -7,20 +7,15 @@ builds its own workload, runs it, and returns a dict of
 :mod:`repro.obs.scenarios` for the curated suite) and carry:
 
 - a ``group`` (``train`` / ``sync`` / ``serve``) for display,
-- a ``tier`` — ``quick`` scenarios run in both tiers (the CI gate),
-  ``full`` scenarios only in the full suite. Tiers select *which*
-  scenarios run; they never shrink a scenario's workload, so a quick
-  run's numbers are directly comparable against a committed full-suite
-  snapshot.
 - ``params``, the exact workload spec. Its digest is stored in the
-  snapshot and the comparator refuses to compare scenarios whose
-  digests differ — a changed workload is a new baseline, not a
-  regression.
+  snapshot; a changed digest fails the gate until the baseline is
+  refreshed.
 
 Every measurement is exact: a simulated-clock or otherwise
 deterministic value, bit-stable run to run, so any change is a gate
 event. Its ``direction`` says which way is better — ``"higher"`` /
-``"lower"`` — or ``"info"`` (tracked and reported, never gated). Host
+``"lower"`` — or ``"info"`` (no better side; a change still fails the
+gate). Host
 wall-clock speed is measured by ``perfbench/``, not here.
 """
 
@@ -39,7 +34,6 @@ __all__ = [
     "params_digest",
 ]
 
-TIERS = ("quick", "full")
 DIRECTIONS = ("higher", "lower", "info")
 
 
@@ -85,7 +79,6 @@ class Scenario:
 
     name: str
     group: str
-    tier: str
     description: str
     params: dict
     fn: Callable[[], dict] = field(compare=False)
@@ -116,18 +109,15 @@ class BenchRegistry:
         name: str,
         group: str,
         description: str,
-        tier: str = "quick",
         **params,
     ):
         """Register the decorated zero-arg callable as a scenario."""
-        if tier not in TIERS:
-            raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
         if name in self._scenarios:
             raise ValueError(f"scenario {name!r} already registered")
 
         def decorate(fn: Callable[[], dict]) -> Callable[[], dict]:
             self._scenarios[name] = Scenario(
-                name=name, group=group, tier=tier,
+                name=name, group=group,
                 description=description, params=dict(params), fn=fn,
             )
             return fn
@@ -146,20 +136,14 @@ class BenchRegistry:
     def __len__(self) -> int:
         return len(self._scenarios)
 
-    def select(self, tier: str = "quick", only: str | None = None) -> list[Scenario]:
-        """Scenarios for *tier* (quick ⊂ full), name-sorted, optionally
-        filtered to names containing *only*."""
-        if tier not in TIERS:
-            raise ValueError(f"tier must be one of {TIERS}, got {tier!r}")
-        out = []
-        for name in self.names():
-            s = self._scenarios[name]
-            if tier == "quick" and s.tier != "quick":
-                continue
-            if only and only not in name:
-                continue
-            out.append(s)
-        return out
+    def select(self, only: str | None = None) -> list[Scenario]:
+        """Every scenario, name-sorted, optionally filtered to names
+        containing *only*."""
+        return [
+            self._scenarios[name]
+            for name in self.names()
+            if not only or only in name
+        ]
 
 
 #: The process-wide registry; importing :mod:`repro.obs.scenarios`

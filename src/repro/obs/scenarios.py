@@ -15,10 +15,9 @@ with every scenario ``repro-lda bench`` can run. Three groups:
 Every metric is exact (simulated clock or otherwise deterministic).
 Host wall-clock speed is ``perfbench/``'s job.
 
-Workloads are deliberately small: the quick tier must finish in CI in
-well under five minutes. They are *fixed*, not tier-scaled — a quick
-run and a full run measure identical scenarios, so their snapshots
-compare directly (see ``docs/BENCHMARKS.md`` for how to add one).
+Workloads are deliberately small: the whole suite runs in CI on every
+change, in seconds, and is gated against the committed ``BENCH.json``
+(see ``docs/BENCHMARKS.md`` for how to add a scenario).
 """
 
 from __future__ import annotations
@@ -134,7 +133,6 @@ def _culda_4gpu_ring() -> dict:
 @REGISTRY.scenario(
     "sync/culda_pascal_4gpu_cpu_gather", "sync",
     "CuLDA on 4 Pascal GPUs, host gather/scatter sync: PubMed twin",
-    tier="full",
     corpus="pubmed", tokens=60_000, topics=32, iterations=4,
     platform="pascal", gpus=4, sync="cpu_gather",
 )
@@ -259,7 +257,6 @@ def _internode_backend_run(backend: str):
     "sync/culda_internode_backends", "sync",
     "Inter-node phi-sync backend comparison on 2x2 GPUs over 10 GbE: "
     "eth_ring vs param_server timing; models must be bit-identical",
-    tier="full",
     corpus="pubmed", tokens=60_000, topics=32, iterations=4,
     platform="pascal", gpus_per_node=2, nodes=2,
 )
@@ -306,9 +303,9 @@ def _planner_metrics(platform: str) -> dict:
 
     ``planner_decision`` records which collective the planner picked as
     an index into :func:`repro.comm.collective_names` — ``info``
-    direction, so a changed pick surfaces as drift, not a gate failure.
-    ``tree_*`` metrics are info too: the forced-tree run is the
-    reference line, not a quantity to be gated on its own.
+    direction, since a pick has no better side; a changed pick still
+    fails the gate as drift. ``tree_*`` metrics are info too: the
+    forced-tree run is the reference line for auto's numbers.
     """
     from repro.comm import collective_names, decisions_from_registry
 
@@ -351,7 +348,6 @@ def _planner_dgx() -> dict:
 @REGISTRY.scenario(
     "train/culda_volta_2gpu_large", "train",
     "CuLDA on 2 Volta GPUs: NYTimes twin, 120k tokens, K=64, 5 iters",
-    tier="full",
     corpus="nytimes", tokens=120_000, topics=64, iterations=5,
     platform="volta", gpus=2,
 )
@@ -551,7 +547,6 @@ def _serve_chaos_hedge() -> dict:
 @REGISTRY.scenario(
     "serve/loadgen_volta_4gpu_scale", "serve",
     "Poisson loadgen on 4 Volta replicas: 8000 req/s for 20 ms",
-    tier="full",
     platform="volta", gpus=4, rate=8000.0, duration=0.02, seed=0,
 )
 def _serve_4gpu() -> dict:

@@ -1,12 +1,11 @@
 """Benchmark snapshots: run the suite, serialize, load, pretty-print.
 
-One snapshot is one JSON document (``BENCH_<n>.json`` at the repo
-root, one per PR) with schema ``repro-bench/1``::
+One snapshot is one JSON document with schema ``repro-bench/1``. The
+committed baseline is ``BENCH.json`` at the repo root::
 
     {
       "schema": "repro-bench/1",
       "git_sha": "…",             # HEAD at measurement time
-      "tier": "quick" | "full",
       "scenarios": {
         "<name>": {
           "group": "…", "description": "…", "digest": "…",
@@ -20,10 +19,6 @@ root, one per PR) with schema ``repro-bench/1``::
     }
 
 Every metric is deterministic, so snapshots compare across machines.
-Snapshots up to ``BENCH_10.json`` also carry a ``machine`` block and
-wall-clock metrics (``"kind": "wall"``); they still load, and a fresh
-run shares none of those wall metrics, so comparing against one checks
-only the exact metrics.
 """
 
 from __future__ import annotations
@@ -60,24 +55,20 @@ def git_sha() -> str:
 
 
 def run_suite(
-    tier: str = "quick",
     only: str | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Run the selected scenarios and return a snapshot dict."""
+    """Run every scenario (or those whose name contains *only*) and
+    return a snapshot dict."""
     # Populate the registry.
     import repro.obs.scenarios  # noqa: F401
 
-    scenarios = REGISTRY.select(tier, only)
+    scenarios = REGISTRY.select(only)
     if not scenarios:
-        raise ValueError(
-            f"no scenarios match tier={tier!r}"
-            + (f", only={only!r}" if only else "")
-        )
+        raise ValueError(f"no scenarios match only={only!r}")
     snapshot: dict = {
         "schema": SNAPSHOT_SCHEMA,
         "git_sha": git_sha(),
-        "tier": tier,
         "scenarios": {},
     }
     for scenario in scenarios:
@@ -124,10 +115,7 @@ def _fmt_value(value: float, unit: str) -> str:
 
 def format_snapshot(snapshot: dict) -> str:
     """Human-readable per-scenario metric table."""
-    lines = [
-        f"benchmark snapshot — tier {snapshot['tier']}, "
-        f"git {snapshot['git_sha'][:12]}"
-    ]
+    lines = [f"benchmark snapshot — git {snapshot['git_sha'][:12]}"]
     for name, entry in sorted(snapshot["scenarios"].items()):
         lines.append("")
         lines.append(f"{name}  [{entry['digest']}]")

@@ -3,53 +3,44 @@
 Serving many models from one process needs the host-side analogue of
 WarpLDA's cache-efficiency argument (PAPERS.md): keep the hot φ
 matrices resident, evict cold ones. The cache key is the checkpoint's
-**content digest** — the embedded SHA-256 that format-v3 checkpoints
-carry (:mod:`repro.core.serialization`) — so two paths to the same
+**content digest** — the embedded SHA-256 that every checkpoint
+carries (:mod:`repro.core.serialization`) — so two paths to the same
 bytes share one entry, and a checkpoint file that is *rewritten* under
 the same name is treated as a different model rather than served
 stale.
 
 Hits return the exact object a cold load would produce (bit-identical
-φ; tested as a property). Pre-v3 checkpoints lack the embedded digest
-and fall back to hashing the file bytes.
+φ; tested as a property).
 """
 
 from __future__ import annotations
 
-import hashlib
-import zipfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
 
-from repro.core.serialization import ModelCheckpoint, load_model
+from repro.core.serialization import ModelCheckpoint, _load_npz, load_model
 from repro.telemetry.context import emit_counter, emit_gauge
 
 __all__ = ["checkpoint_digest", "ModelCache"]
 
 
 def checkpoint_digest(path: str | Path) -> str:
-    """Content digest of a checkpoint file.
+    """The content digest embedded in a checkpoint file.
 
-    Format-v3 files embed a SHA-256 over their canonical contents; read
-    it straight from the archive (cheap — no array decompression).
-    Older files (v1/v2, or any non-npz payload a test loader fakes)
-    hash the raw file bytes instead.
+    Read straight from the archive (cheap — no array decompression).
+
+    Raises
+    ------
+    ValueError
+        Naming the file, when it is not a readable ``.npz`` archive or
+        carries no ``checksum``.
     """
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            if "checksum" in data.files:
-                return str(data["checksum"])
-    except (zipfile.BadZipFile, ValueError, OSError):
-        pass
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    with _load_npz(Path(path)) as data:
+        if "checksum" in data.files:
+            return str(data["checksum"])
+    raise ValueError(f"checkpoint {path} carries no checksum")
 
 
 class ModelCache:

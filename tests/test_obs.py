@@ -1,5 +1,5 @@
 """Tests for the performance observatory: scenario registry,
-measurement semantics, snapshots, the comparator/regression gate, and
+measurement semantics, snapshots, the comparator/exact-match gate, and
 the `repro-lda bench` CLI."""
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from repro.obs import (
     write_snapshot,
 )
 from repro.obs.snapshot import SNAPSHOT_SCHEMA
+
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH.json"
 
 
 # ----------------------------------------------------------------------
@@ -57,33 +59,25 @@ class TestBenchRegistry:
     def make(self):
         reg = BenchRegistry()
 
-        @reg.scenario("g/quick_one", group="g", description="d",
-                      tier="quick", tokens=10)
-        def _q():
+        @reg.scenario("g/alpha", group="g", description="d", tokens=10)
+        def _a():
             return {"x": Measurement(1.0)}
 
-        @reg.scenario("g/full_one", group="g", description="d",
-                      tier="full", tokens=20)
-        def _f():
+        @reg.scenario("g/beta", group="g", description="d", tokens=20)
+        def _b():
             return {"x": Measurement(1.0)}
 
         return reg
 
-    def test_quick_tier_subsets_full(self):
-        reg = self.make()
-        assert [s.name for s in reg.select("quick")] == ["g/quick_one"]
-        assert [s.name for s in reg.select("full")] == [
-            "g/full_one", "g/quick_one",
-        ]
-
     def test_only_substring_filter(self):
         reg = self.make()
-        assert [s.name for s in reg.select("full", "full")] == ["g/full_one"]
+        assert [s.name for s in reg.select()] == ["g/alpha", "g/beta"]
+        assert [s.name for s in reg.select("beta")] == ["g/beta"]
 
     def test_duplicate_name_rejected(self):
         reg = self.make()
         with pytest.raises(ValueError, match="already registered"):
-            reg.scenario("g/quick_one", group="g", description="d")(
+            reg.scenario("g/alpha", group="g", description="d")(
                 lambda: {}
             )
 
@@ -104,25 +98,35 @@ class TestBenchRegistry:
         assert "train/culda_pascal_1gpu" in names
         assert "serve/chaos_hedge_pascal_4gpu" in names
         assert "sync/culda_pascal_4gpu_tree" in names
-        # The CI tier is a strict subset.
-        quick = {s.name for s in REGISTRY.select("quick")}
-        full = {s.name for s in REGISTRY.select("full")}
-        assert quick < full
+
+    def test_committed_baseline_matches_registry(self):
+        """BENCH.json holds exactly the registered scenarios, each with
+        its current params digest: adding or editing a scenario without
+        refreshing the baseline fails here, before any bench run."""
+        import repro.obs.scenarios  # noqa: F401
+
+        baseline = load_snapshot(BASELINE)
+        assert {
+            name: entry["digest"]
+            for name, entry in baseline["scenarios"].items()
+        } == {name: REGISTRY.get(name).digest for name in REGISTRY.names()}
 
 
 # ----------------------------------------------------------------------
 # Comparator / gate
 # ----------------------------------------------------------------------
-def snap(metrics, digest="abc", name="train/x"):
+def snap(metrics, digest="abc", name="train/x", others=()):
+    """A snapshot holding scenario *name* with *metrics*, plus one
+    scenario per name in *others* with the same metrics."""
     return {
         "schema": SNAPSHOT_SCHEMA,
         "git_sha": "deadbeef",
-        "tier": "quick",
         "scenarios": {
-            name: {
+            n: {
                 "group": "train", "description": "d", "digest": digest,
-                "params": {}, "metrics": metrics,
+                "params": {}, "metrics": dict(metrics),
             }
+            for n in (name, *others)
         },
     }
 
@@ -131,33 +135,61 @@ def exact(value, direction="higher"):
     return Measurement(value, direction=direction).as_dict()
 
 
+def assert_fails(old, new, verdict, scenario="train/x"):
+    """Exactly one row differs: it has *verdict*, fails the gate, and
+    the printed table names its scenario and verdict."""
+    deltas = compare_snapshots(old, new)
+    (failed,) = gate(deltas)
+    assert (failed.scenario, failed.verdict) == (scenario, verdict)
+    assert all(d.verdict == "ok" for d in deltas if d is not failed)
+    row = next(
+        line for line in format_deltas(deltas).splitlines()
+        if line.strip().startswith(scenario)
+    )
+    assert verdict in row
+
+
 class TestCompare:
     def test_identical_snapshots_are_clean(self):
-        a = snap({"tps": exact(100.0), "t": exact(0.5, direction="lower")})
+        a = snap({"tps": exact(100.0), "t": exact(0.5, direction="lower")},
+                 others=("train/y",))
         deltas = compare_snapshots(a, a)
+        assert len(deltas) == 4
         assert {d.verdict for d in deltas} == {"ok"}
         assert gate(deltas) == []
 
     def test_exact_change_in_gated_direction_regresses(self):
         old = snap({"tps": exact(100.0)})
         new = snap({"tps": exact(90.0)})
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "regressed"
-        assert gate([d]) == [d]
+        assert_fails(old, new, "regressed")
 
-    def test_exact_improvement_is_flagged_not_gated(self):
+    def test_exact_improvement_fails_the_gate(self):
         old = snap({"tps": exact(100.0)})
         new = snap({"tps": exact(110.0)})
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "improved"
-        assert gate([d]) == []
+        assert_fails(old, new, "improved")
 
-    def test_info_direction_drifts_instead_of_gating(self):
+    def test_info_drift_fails_the_gate(self):
         old = snap({"ll": exact(-7.5, direction="info")})
         new = snap({"ll": exact(-7.6, direction="info")})
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "drift"
-        assert gate([d]) == []
+        assert_fails(old, new, "drift")
+
+    @pytest.mark.parametrize("side", ["baseline", "run"])
+    def test_metric_on_one_side_fails_the_gate(self, side):
+        both = snap({"tps": exact(100.0), "t": exact(0.5)})
+        one = snap({"tps": exact(100.0)})
+        if side == "baseline":
+            assert_fails(both, one, "missing")
+        else:
+            assert_fails(one, both, "added")
+
+    @pytest.mark.parametrize("side", ["baseline", "run"])
+    def test_scenario_on_one_side_fails_the_gate(self, side):
+        both = snap({"tps": exact(100.0)}, others=("train/y",))
+        one = snap({"tps": exact(100.0)})
+        if side == "baseline":
+            assert_fails(both, one, "missing", scenario="train/y")
+        else:
+            assert_fails(one, both, "added", scenario="train/y")
 
     def test_tiny_float_noise_is_ok(self):
         old = snap({"tps": exact(100.0)})
@@ -165,33 +197,27 @@ class TestCompare:
         (d,) = compare_snapshots(old, new)
         assert d.verdict == "ok"
 
-    def test_exact_still_gated_across_machines(self):
-        """A baseline written before snapshots dropped the machine block
-        (BENCH_10 and earlier) still gates a fresh run's exact metrics."""
-        old = snap({"tps": exact(100.0)})
-        old["machine"] = {"fingerprint": "m1"}
-        new = snap({"tps": exact(90.0)})
-        (d,) = compare_snapshots(old, new)
-        assert d.verdict == "regressed"
-
     def test_digest_mismatch_skips_the_scenario(self):
+        """A changed workload is one failing row for the scenario; its
+        metrics are not compared one by one."""
         old = snap({"tps": exact(100.0)}, digest="abc")
         new = snap({"tps": exact(50.0)}, digest="xyz")
         (d,) = compare_snapshots(old, new)
-        assert d.verdict == "skipped"
+        assert d.metric == "*"
         assert "workload" in d.note
+        assert_fails(old, new, "digest")
 
     def test_format_names_the_regressed_scenario(self):
         old = snap({"tps": exact(100.0)})
         new = snap({"tps": exact(90.0)})
         text = format_deltas(compare_snapshots(old, new))
         assert "train/x" in text
-        assert "GATE: 1 regression(s)" in text
+        assert "GATE: 1 row(s) differ from the baseline in: train/x" in text
 
     def test_clean_gate_message(self):
         a = snap({"tps": exact(100.0)})
         text = format_deltas(compare_snapshots(a, a))
-        assert "no regressions" in text
+        assert "GATE: clean" in text
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +229,6 @@ class TestSnapshotIO:
         path = tmp_path / "BENCH_t.json"
         write_snapshot(doc, path)
         assert load_snapshot(path) == doc
-        # Snapshots written with wall-clock metrics and a machine block
-        # (up to BENCH_10) still load, and every metric still parses.
-        legacy = load_snapshot(
-            Path(__file__).resolve().parents[1] / "BENCH_10.json"
-        )
-        for entry in legacy["scenarios"].values():
-            for record in entry["metrics"].values():
-                Measurement.from_dict(record)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -229,10 +247,10 @@ class TestSnapshotIO:
 # ----------------------------------------------------------------------
 class TestBenchCLI:
     def test_list_names_scenarios(self, capsys):
-        assert main(["bench", "--list", "--tier", "full"]) == 0
+        assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
         assert "train/culda_pascal_1gpu" in out
-        assert "sync/culda_pascal_4gpu_cpu_gather" in out  # full tier only
+        assert "sync/culda_pascal_4gpu_cpu_gather" in out
 
     def test_empty_selection_fails(self, capsys):
         assert main(["bench", "--only", "no-such-scenario"]) == 2
@@ -247,7 +265,7 @@ class TestBenchCLI:
 
     def test_out_writes_a_valid_snapshot(self, snapshot_file):
         doc = load_snapshot(snapshot_file)
-        assert doc["tier"] == "quick"
+        assert list(doc["scenarios"]) == ["train/culda_pascal_1gpu"]
         entry = doc["scenarios"]["train/culda_pascal_1gpu"]
         assert entry["metrics"]["tokens_per_sec"]["direction"] == "higher"
 
@@ -258,7 +276,16 @@ class TestBenchCLI:
             "bench", "--only", "train/culda_pascal_1gpu",
             "--compare", str(snapshot_file),
         ]) == 0
-        assert "no regressions" in capsys.readouterr().out
+        assert "GATE: clean" in capsys.readouterr().out
+
+    def test_only_compares_the_same_selection_of_the_committed_baseline(
+        self, capsys
+    ):
+        assert main([
+            "bench", "--only", "train/culda_pascal_1gpu",
+            "--compare", str(BASELINE),
+        ]) == 0
+        assert "compared 3 metric(s): ok=3" in capsys.readouterr().out
 
     def test_compare_gates_on_perturbed_baseline(
         self, snapshot_file, tmp_path, capsys

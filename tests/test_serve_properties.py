@@ -190,19 +190,38 @@ class TestCacheProperties:
     def test_rewritten_checkpoint_is_a_new_model(self, tmp_path):
         """Digest is recomputed per access: rewriting a file under the
         same path misses rather than serving stale bytes."""
-        path = tmp_path / "model.bin"
-        path.write_bytes(b"version-1")
-        from repro.serve import checkpoint_digest
+        from repro.core.serialization import save_model
 
-        loads: list[str] = []
-        cache = ModelCache(2, loader=_fake_loader_factory(loads),
-                           digest_fn=checkpoint_digest)
+        path = tmp_path / "model.npz"
+        hyper = LDAHyperParams(num_topics=4)
+        phi = np.arange(32, dtype=np.int32).reshape(4, 8)
+
+        def write(phi):
+            save_model(
+                SimpleNamespace(phi=phi, hyper=hyper, corpus_name="c"), path
+            )
+
+        write(phi)
+        cache = ModelCache(2)
         _, d1, hit1 = cache.get(path)
         _, d1b, hit1b = cache.get(path)
         assert (hit1, hit1b) == (False, True) and d1 == d1b
-        path.write_bytes(b"version-2")
-        _, d2, hit2 = cache.get(path)
+        write(phi + 1)
+        model, d2, hit2 = cache.get(path)
         assert not hit2 and d2 != d1
+        assert np.array_equal(model.phi, phi + 1)
+
+    def test_digest_needs_a_checksummed_archive(self, tmp_path):
+        from repro.serve import checkpoint_digest
+
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(b"not an archive")
+        with pytest.raises(ValueError, match="junk.npz"):
+            checkpoint_digest(junk)
+        unsigned = tmp_path / "unsigned.npz"
+        np.savez(unsigned, phi=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="unsigned.npz.*no checksum"):
+            checkpoint_digest(unsigned)
 
 
 class TestServiceConservation:
