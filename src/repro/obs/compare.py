@@ -44,7 +44,7 @@ _NAN = float("nan")
 
 @dataclass(frozen=True)
 class Delta:
-    """One compared metric."""
+    """One compared row: a metric, or a whole scenario (``metric == "*"``)."""
 
     scenario: str
     metric: str
