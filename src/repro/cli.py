@@ -94,9 +94,9 @@ def _nonneg_int(text: str) -> int:
 def _add_sync_arg(p: argparse.ArgumentParser) -> None:
     """The ``--sync`` flag shared by train and profile.
 
-    Choices come straight from the collective registry (plus ``auto``),
-    so registering a new collective surfaces it in every subcommand
-    without touching a hand-kept tuple here.
+    Choices come straight from ``repro.comm.COLLECTIVES`` (plus
+    ``auto``), so adding a collective there surfaces it in every
+    subcommand without touching a hand-kept tuple here.
     """
     from repro.comm import sync_choices
 
@@ -112,8 +112,8 @@ def _add_sync_arg(p: argparse.ArgumentParser) -> None:
 def _add_internode_args(p: argparse.ArgumentParser) -> None:
     """The multi-node flags of ``train`` (DistributedCuLDA).
 
-    ``--inter-sync`` choices come from the cluster-collective registry
-    (plus ``auto``), mirroring how ``--sync`` tracks the GPU registry.
+    ``--inter-sync`` choices come from ``repro.comm.CLUSTER_COLLECTIVES``
+    (plus ``auto``), mirroring how ``--sync`` tracks ``COLLECTIVES``.
     """
     from repro.comm import cluster_sync_choices
 

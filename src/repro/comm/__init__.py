@@ -11,10 +11,13 @@
 - :mod:`~repro.comm.collectives` — the executable sync algorithms
   (tree, ring, cpu_gather, hierarchical) behind the
   :class:`Collective` interface, each with a cost ``estimate``,
-  in an ordered registry;
-- :mod:`~repro.comm.planner` — the :class:`SyncPlanner` that resolves
-  ``--sync auto`` into the cheapest feasible collective per
-  (topology, payload, alive-GPU set).
+  in the ordered :data:`COLLECTIVES`;
+- :mod:`~repro.comm.cluster` — the inter-node backends (eth_ring,
+  param_server) in the ordered :data:`CLUSTER_COLLECTIVES`;
+- :mod:`~repro.comm.planner` — :func:`plan_sync` and
+  :func:`plan_cluster_sync`, one selection path that resolves
+  ``--sync auto`` / ``--inter-sync auto`` into the cheapest feasible
+  collective per (topology, payload, alive set) as a :class:`SyncPlan`.
 
 Consumers — the training engine's sync phase, the serving φ
 re-broadcast, the cluster parameter server — go through this package;
@@ -23,36 +26,29 @@ none of them dispatches on algorithm names themselves. See
 """
 
 from repro.comm.cluster import (
+    CLUSTER_COLLECTIVES,
     ClusterCollective,
     ClusterSyncContext,
     ClusterSyncResult,
     EthRingCollective,
     ParamServerCollective,
-    cluster_collective_names,
-    cluster_collectives,
     get_cluster_collective,
-    register_cluster_collective,
 )
 from repro.comm.collectives import (
+    COLLECTIVES,
     Collective,
     CostEstimate,
     SyncContext,
     broadcast_phi,
-    collective_names,
-    collectives,
     cpu_gather_sync,
     get_collective,
     hierarchical_allreduce_phi,
     reduce_phi_tree,
-    register,
     ring_allreduce_phi,
 )
 from repro.comm.planner import (
     AUTO,
-    ClusterSyncPlan,
-    ClusterSyncPlanner,
     SyncPlan,
-    SyncPlanner,
     cluster_sync_choices,
     decisions_from_registry,
     plan_cluster_sync,
@@ -70,10 +66,10 @@ from repro.comm.transfer import (
 
 __all__ = [
     "AUTO",
+    "CLUSTER_COLLECTIVES",
+    "COLLECTIVES",
     "ClusterCollective",
     "ClusterSyncContext",
-    "ClusterSyncPlan",
-    "ClusterSyncPlanner",
     "ClusterSyncResult",
     "Collective",
     "CostEstimate",
@@ -83,15 +79,10 @@ __all__ = [
     "ParamServerCollective",
     "SyncContext",
     "SyncPlan",
-    "SyncPlanner",
     "Topology",
     "TransferRetry",
     "broadcast_phi",
-    "cluster_collective_names",
-    "cluster_collectives",
     "cluster_sync_choices",
-    "collective_names",
-    "collectives",
     "cpu_gather_sync",
     "decisions_from_registry",
     "fanin_messages",
@@ -102,8 +93,6 @@ __all__ = [
     "plan_cluster_sync",
     "plan_sync",
     "reduce_phi_tree",
-    "register",
-    "register_cluster_collective",
     "resilient_p2p",
     "ring_allreduce_phi",
     "sync_choices",

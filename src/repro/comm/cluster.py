@@ -3,8 +3,8 @@
 Multi-node training runs the paper's intra-node reduce tree (§5.2) on
 each machine, then combines the per-node partial counts across the
 Ethernet fabric. This module provides the two interchangeable backends
-for that inter-node leg, behind the same registry/planner pattern as
-the GPU collectives in :mod:`repro.comm.collectives`:
+for that inter-node leg, ranked by the same planner as the GPU
+collectives in :mod:`repro.comm.collectives`:
 
 - ``eth_ring`` — a leader ring over :class:`ClusterNetwork`: each
   node's leader GPU contributes its node-summed φ, and the leaders run
@@ -24,18 +24,21 @@ against the :class:`~repro.comm.topology.Topology` snapshot — the same
 per-link, per-direction frontier arithmetic
 :meth:`~repro.gpusim.interconnect.Link.reserve` uses — so the planner's
 predicted seconds equal the simulator's measured seconds for the same
-ready times. ``Topology.from_cluster`` excludes detector-dead nodes, so
-a plan can never route through one.
+ready times. The ring schedule is written once and run against a
+``send`` callable: :meth:`ClusterNetwork.send` to execute it, the
+replay to estimate it. ``Topology.from_cluster`` excludes
+detector-dead nodes, so a plan can never route through one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.comm.collectives import CostEstimate
+from repro.comm.collectives import INFEASIBLE, CostEstimate
 from repro.comm.topology import LinkInfo, Topology
 from repro.comm.transfer import TransferRetry
 from repro.telemetry.context import emit_counter
@@ -50,10 +53,8 @@ __all__ = [
     "ClusterCollective",
     "EthRingCollective",
     "ParamServerCollective",
-    "register_cluster_collective",
+    "CLUSTER_COLLECTIVES",
     "get_cluster_collective",
-    "cluster_collective_names",
-    "cluster_collectives",
     "ring_segment_bytes",
 ]
 
@@ -118,9 +119,6 @@ class ClusterCollective:
 # Shared replay machinery
 # ----------------------------------------------------------------------
 
-_INFEASIBLE = CostEstimate(seconds=float("inf"), bytes_on_wire=0.0, steps=0)
-
-
 @dataclass
 class _LinkFrontiers:
     """Mirror of the cluster links' per-direction busy frontiers, used
@@ -157,15 +155,32 @@ def ring_segment_bytes(
     return [float(r) * V * entry_bytes for r in rows]
 
 
-def _ring_schedule(num_nodes: int) -> list[list[int]]:
-    """Segment index sent by each node position at each of the
-    2(N−1) ring steps (reduce-scatter then all-gather)."""
-    steps = []
-    for t in range(num_nodes - 1):           # reduce-scatter
-        steps.append([(i - t) % num_nodes for i in range(num_nodes)])
-    for t in range(num_nodes - 1):           # all-gather
-        steps.append([(i + 1 - t) % num_nodes for i in range(num_nodes)])
-    return steps
+def _ring_exchange(
+    nodes: tuple[int, ...],
+    seg_bytes: list[float],
+    ready: list[float],
+    send: Callable[[int, int, float, float], float],
+) -> tuple[list[float], float]:
+    """The eth_ring schedule: 2(N−1) lock-stepped steps (reduce-scatter
+    then all-gather) in which node position *i* sends row segment
+    ``(i − step) mod N`` to position *i+1*, each message timed by
+    ``send(src, dst, nbytes, earliest) -> end``. Returns each
+    position's completion time and the bytes sent."""
+    N = len(nodes)
+    times = list(ready)
+    total = 0.0
+    for step in range(2 * (N - 1)):
+        t0 = max(times)
+        ends = [t0] * N
+        for i in range(N):
+            j = (i + 1) % N
+            nbytes = seg_bytes[(i - step) % N]
+            end = send(nodes[i], nodes[j], nbytes, t0)
+            total += nbytes
+            ends[i] = max(ends[i], end)   # i's egress finishes
+            ends[j] = max(ends[j], end)   # j's ingress finishes
+        times = ends
+    return times, total
 
 
 # ----------------------------------------------------------------------
@@ -185,35 +200,32 @@ class EthRingCollective(ClusterCollective):
     name = "eth_ring"
 
     def allreduce(self, ctx: ClusterSyncContext) -> ClusterSyncResult:
-        nodes = ctx.nodes
-        N = len(nodes)
+        """Ring-combine the node counts. When ``ctx.server`` is set it is
+        kept in lockstep, so backends can alternate mid-run without
+        drift."""
         phi = np.zeros_like(ctx.node_counts[0], dtype=np.int64)
         for counts in ctx.node_counts:
             phi += counts
-        if N == 1:
-            return ClusterSyncResult(phi, (ctx.ready[0],), 0.0)
-        seg_bytes = ring_segment_bytes(phi.shape, N, ctx.entry_bytes)
-        times = list(ctx.ready)
-        total = 0.0
-        for segs in _ring_schedule(N):
-            t0 = max(times)
-            ends = [t0] * N
-            for i in range(N):
-                j = (i + 1) % N
-                nbytes = seg_bytes[segs[i]]
-                _, end = ctx.network.send(
-                    nodes[i], nodes[j], nbytes, t0,
-                    op="internode_ring", retry=ctx.retry,
-                )
-                total += nbytes
-                ends[i] = max(ends[i], end)   # i's egress finishes
-                ends[j] = max(ends[j], end)   # j's ingress finishes
-            times = ends
-        emit_counter(
-            "internode_sync_bytes_total", total,
-            help="inter-node φ-sync payload bytes, per backend",
-            backend=self.name,
-        )
+        N = len(ctx.nodes)
+        times, total = list(ctx.ready), 0.0
+        if N > 1:
+            def send(src: int, dst: int, nbytes: float, earliest: float) -> float:
+                return ctx.network.send(
+                    src, dst, nbytes, earliest, op="internode_ring",
+                    retry=ctx.retry,
+                )[1]
+
+            times, total = _ring_exchange(
+                ctx.nodes, ring_segment_bytes(phi.shape, N, ctx.entry_bytes),
+                ctx.ready, send,
+            )
+            emit_counter(
+                "internode_sync_bytes_total", total,
+                help="inter-node φ-sync payload bytes, per backend",
+                backend=self.name,
+            )
+        if ctx.server is not None:
+            ctx.server.phi = phi
         return ClusterSyncResult(phi, tuple(times), total)
 
     def estimate(
@@ -221,26 +233,15 @@ class EthRingCollective(ClusterCollective):
     ) -> CostEstimate:
         N = len(nodes)
         if N == 0:
-            return _INFEASIBLE
+            return INFEASIBLE
         if N == 1:
             return CostEstimate(seconds=0.0, bytes_on_wire=0.0, steps=0)
-        links = _LinkFrontiers(topo.host)
-        seg_bytes = ring_segment_bytes(shape, N, entry_bytes)
-        times = [0.0] * N
-        total = 0.0
-        for segs in _ring_schedule(N):
-            t0 = max(times)
-            ends = [t0] * N
-            for i in range(N):
-                j = (i + 1) % N
-                nbytes = seg_bytes[segs[i]]
-                end = links.send(nodes[i], nodes[j], nbytes, t0)
-                if not np.isfinite(end):
-                    return _INFEASIBLE
-                total += nbytes
-                ends[i] = max(ends[i], end)
-                ends[j] = max(ends[j], end)
-            times = ends
+        times, total = _ring_exchange(
+            nodes, ring_segment_bytes(shape, N, entry_bytes), [0.0] * N,
+            _LinkFrontiers(topo.host).send,
+        )
+        if not math.isfinite(max(times)):
+            return INFEASIBLE
         return CostEstimate(
             seconds=max(times), bytes_on_wire=total, steps=2 * (N - 1)
         )
@@ -299,36 +300,22 @@ class ParamServerCollective(ClusterCollective):
         )
         return ClusterSyncResult(server.phi.copy(), tuple(done), total)
 
-    # -- estimate: replay the push/pull schedule exactly ----------------
-    def _placement(self, nodes, num_words, server):
-        """(num_shards, per-shard word count, primary, replica): the live
-        server's placement when given, else the canonical placement a
-        fresh server over *nodes* would choose."""
-        if server is not None:
-            S = server.num_shards
-            counts = [len(cols) for cols in server._cols]
-            primary = [server.primary_node_of(s) for s in range(S)]
-            replica = [server.replica_node_of(s) for s in range(S)]
-            return S, counts, primary, replica
-        ordered = sorted(nodes)
-        S = len(ordered)
-        counts = [len(range(s, num_words, S)) for s in range(S)]
-        primary = [ordered[s % S] for s in range(S)]
-        replica = (
-            [ordered[(s + 1) % S] for s in range(S)] if S > 1 else list(primary)
-        )
-        return S, counts, primary, replica
-
     def estimate(
         self, topo, nodes, shape, entry_bytes=4, retry=None, server=None
     ) -> CostEstimate:
+        """Replay the push/pull schedule on the live *server*'s shard
+        placement; infeasible without a server, as :meth:`allreduce`
+        cannot run without one."""
         N = len(nodes)
-        if N == 0:
-            return _INFEASIBLE
+        if N == 0 or server is None:
+            return INFEASIBLE
         if N == 1:
             return CostEstimate(seconds=0.0, bytes_on_wire=0.0, steps=0)
         K, V = shape
-        S, counts, primary, replica = self._placement(nodes, V, server)
+        S = server.num_shards
+        counts = [len(range(s, V, S)) for s in range(S)]
+        primary = [server.primary_node_of(s) for s in range(S)]
+        replica = [server.replica_node_of(s) for s in range(S)]
 
         def reachable(node: int) -> bool:
             info = topo.host.get(node)
@@ -349,7 +336,7 @@ class ParamServerCollective(ClusterCollective):
                 if not reachable(dst):
                     # Failover push to the replica as acting primary.
                     if rep == dst or not reachable(rep):
-                        return _INFEASIBLE
+                        return INFEASIBLE
                     end = links.send(node, rep, nbytes, 0.0)
                 else:
                     end = links.send(node, dst, nbytes, 0.0)
@@ -357,7 +344,7 @@ class ParamServerCollective(ClusterCollective):
                         end = max(end, links.send(dst, rep, nbytes, end))
                         total += nbytes
                 if not np.isfinite(end):
-                    return _INFEASIBLE
+                    return INFEASIBLE
                 total += nbytes
                 end_n = max(end_n, end)
             push_done.append(end_n)
@@ -374,10 +361,10 @@ class ParamServerCollective(ClusterCollective):
                 if not reachable(src):
                     src = replica[s]
                     if src == primary[s] or not reachable(src):
-                        return _INFEASIBLE
+                        return INFEASIBLE
                 end = links.send(src, node, nbytes, barrier)
                 if not np.isfinite(end):
-                    return _INFEASIBLE
+                    return INFEASIBLE
                 total += nbytes
                 end_n = max(end_n, end)
             done.append(end_n)
@@ -386,42 +373,19 @@ class ParamServerCollective(ClusterCollective):
         )
 
 
-# ----------------------------------------------------------------------
-# Registry (mirrors repro.comm.collectives; separate namespace so the
-# GPU --sync choices are untouched)
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, ClusterCollective] = {}
-
-
-def register_cluster_collective(collective: ClusterCollective) -> ClusterCollective:
-    """Add an inter-node backend to the registry. Registration order is
-    the ``auto`` tie-break, exactly as for the GPU collectives."""
-    if collective.name in _REGISTRY:
-        raise ValueError(
-            f"cluster collective {collective.name!r} is already registered"
-        )
-    _REGISTRY[collective.name] = collective
-    return collective
+#: Every inter-node backend, in ``auto``'s tie-break order.
+CLUSTER_COLLECTIVES: tuple[ClusterCollective, ...] = (
+    EthRingCollective(),
+    ParamServerCollective(),
+)
 
 
 def get_cluster_collective(name: str) -> ClusterCollective:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        choices = ", ".join(["auto", *_REGISTRY])
-        raise ValueError(
-            f"unknown inter-node sync algorithm {name!r}; choices: {choices}"
-        ) from None
-
-
-def cluster_collective_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
-
-
-def cluster_collectives() -> tuple[ClusterCollective, ...]:
-    return tuple(_REGISTRY.values())
-
-
-register_cluster_collective(EthRingCollective())
-register_cluster_collective(ParamServerCollective())
+    """Look an inter-node backend up by name."""
+    for collective in CLUSTER_COLLECTIVES:
+        if collective.name == name:
+            return collective
+    raise ValueError(
+        f"unknown inter-node sync algorithm {name!r}; choices: "
+        + ", ".join(("auto", *(c.name for c in CLUSTER_COLLECTIVES)))
+    )

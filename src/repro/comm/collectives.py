@@ -21,10 +21,10 @@ This module provides each strategy twice:
   ``hierarchical_allreduce_phi``) that works on arbitrary *sublists* of
   replicas — positions carry their devices, so the hierarchical
   composition and the elastic G−1 path fall out for free; and
-- as a registered :class:`Collective` with a cost ``estimate`` — the
-  analytic mirror of the simulator's link/kernel charges — that the
-  :class:`~repro.comm.planner.SyncPlanner` ranks per topology and
-  payload.
+- as a :class:`Collective` in :data:`COLLECTIVES` with a cost
+  ``estimate`` — the analytic mirror of the simulator's link/kernel
+  charges — that :func:`~repro.comm.planner.plan_sync` ranks per
+  topology and payload.
 
 Because φ is summed in exact integer arithmetic, every collective is
 bit-identical: the planner may pick freely on cost alone.
@@ -50,11 +50,10 @@ from repro.telemetry.context import emit_counter, emit_observe
 __all__ = [
     "SyncContext",
     "CostEstimate",
+    "INFEASIBLE",
     "Collective",
-    "register",
+    "COLLECTIVES",
     "get_collective",
-    "collective_names",
-    "collectives",
     "reduce_phi_tree",
     "broadcast_phi",
     "cpu_gather_sync",
@@ -530,7 +529,8 @@ class CostEstimate:
         return math.isfinite(self.seconds)
 
 
-_INFEASIBLE = (math.inf, 0.0)
+#: The estimate of a collective with no usable path on a topology.
+INFEASIBLE = CostEstimate(seconds=math.inf, bytes_on_wire=0.0, steps=0)
 
 
 def _kernel_seconds(machine: Machine, dev: int, cost: KernelCost) -> float:
@@ -555,10 +555,10 @@ def _p2p_path(
     if info.up:
         return info.transfer_seconds(nbytes), nbytes
     if retry is None or not retry.host_fallback:
-        return _INFEASIBLE
+        return math.inf, 0.0
     hs, hd = topo.host[src], topo.host[dst]
     if not (hs.up and hd.up):
-        return _INFEASIBLE
+        return math.inf, 0.0
     # The runtime exhausts the peer-link retry budget (backoff stalls)
     # before falling back, then stages through pageable host memory,
     # which charges 2x the payload per hop.
@@ -570,60 +570,67 @@ def _p2p_path(
     return seconds, 4.0 * nbytes
 
 
+# The tree estimates track ``ready[dev]``: when device *dev*'s sync
+# stream is free (and, once it holds the data, when it can send). A
+# peer copy runs on the receiver's stream after the sender's event, so
+# it starts at ``max(ready[dst], ready[src])`` — a holder's sends never
+# queue behind one another, exactly as the simulator times them.
+
 def _tree_reduce_estimate(
     machine: Machine,
     topo: Topology,
     devs: list[int],
+    ready: dict[int, float],
     nbytes: float,
     add_cost: KernelCost,
     retry: TransferRetry | None,
-) -> tuple[float, float, int]:
-    total = wire = 0.0
+) -> tuple[float, int]:
+    """Advance *ready* through :func:`reduce_phi_tree` over *devs*;
+    returns (wire bytes, serial steps)."""
+    wire = 0.0
     steps = 0
     G = len(devs)
     stride = 1
     while stride < G:
-        step_times = []
         for i in range(0, G - stride, 2 * stride):
-            s, w = _p2p_path(topo, retry, devs[i + stride], devs[i], nbytes)
+            dst, src = devs[i], devs[i + stride]
+            s, w = _p2p_path(topo, retry, src, dst, nbytes)
             wire += w
-            step_times.append(s + _kernel_seconds(machine, devs[i], add_cost))
-        total += max(step_times)
+            ready[dst] = (
+                max(ready[dst], ready[src]) + s
+                + _kernel_seconds(machine, dst, add_cost)
+            )
         steps += 1
         stride *= 2
-    return total, wire, steps
+    return wire, steps
 
 
 def _broadcast_estimate(
     machine: Machine,
     topo: Topology,
     devs: list[int],
+    ready: dict[int, float],
     nbytes: float,
     copy_cost: KernelCost,
     retry: TransferRetry | None,
-) -> tuple[float, float, int]:
-    total = _kernel_seconds(machine, devs[0], copy_cost)
+) -> tuple[float, int]:
+    """Advance *ready* through :func:`broadcast_phi` from ``devs[0]``;
+    returns (wire bytes, serial steps)."""
+    ready[devs[0]] += _kernel_seconds(machine, devs[0], copy_cost)
     wire = 0.0
     steps = 0
     G = len(devs)
-    have = [0]
     step = 1
     while step < G:
-        new_holders = []
-        step_times = []
-        for h in have:
-            peer = h + step
-            if peer < G:
-                s, w = _p2p_path(topo, retry, devs[h], devs[peer], nbytes)
-                wire += w
-                step_times.append(s)
-                new_holders.append(peer)
-        if step_times:
-            total += max(step_times)
-            steps += 1
-        have.extend(new_holders)
+        # Holders are positions [0, step); each forwards to h + step.
+        for h in range(min(step, G - step)):
+            src, dst = devs[h], devs[h + step]
+            s, w = _p2p_path(topo, retry, src, dst, nbytes)
+            wire += w
+            ready[dst] = max(ready[dst], ready[src]) + s
+        steps += 1
         step *= 2
-    return total, wire, steps
+    return wire, steps
 
 
 def _ring_estimate(
@@ -634,12 +641,12 @@ def _ring_estimate(
     V: int,
     config: KernelConfig,
     retry: TransferRetry | None,
-) -> tuple[float, float, int]:
+) -> CostEstimate:
     phi_b = config.phi_bytes
     copy_s = _kernel_seconds(machine, devs[0], _copy_cost(K, V, phi_b))
     G = len(devs)
     if G == 1:
-        return copy_s, 0.0, 0
+        return CostEstimate(copy_s, 0.0, 0)
     edges = [K * i // G for i in range(G + 1)]
     max_rows = max(edges[i + 1] - edges[i] for i in range(G))
     seg = float(max_rows) * V * phi_b
@@ -663,13 +670,13 @@ def _ring_estimate(
         step_wire += w
     slowest = max(link_times)
     if not math.isfinite(slowest):
-        return math.inf, 0.0, 0
+        return INFEASIBLE
     total = (
         (G - 1) * (stage_s + slowest + reduce_s)
         + (G - 1) * (stage_s + slowest + gather_s)
         + copy_s
     )
-    return total, 2.0 * (G - 1) * step_wire, 2 * (G - 1)
+    return CostEstimate(total, 2.0 * (G - 1) * step_wire, 2 * (G - 1))
 
 
 def _cpu_gather_estimate(
@@ -679,14 +686,14 @@ def _cpu_gather_estimate(
     K: int,
     V: int,
     config: KernelConfig,
-) -> tuple[float, float, int]:
+) -> CostEstimate:
     n_el = float(K) * V
     n = n_el * config.phi_bytes
     by_link: dict[str, list] = {}
     for d in devs:
         info = topo.host[d]
         if not info.up:
-            return math.inf, 0.0, 0
+            return INFEASIBLE
         by_link.setdefault(info.name, []).append(info)
     # Pageable staging charges 2x; devices sharing an uplink serialize.
     phase_s = max(
@@ -702,11 +709,11 @@ def _cpu_gather_estimate(
         ),
     )
     total = phase_s + host_add + phase_s
-    return total, 4.0 * n * len(devs), 2 * len(devs) + 1
+    return CostEstimate(total, 4.0 * n * len(devs), 2 * len(devs) + 1)
 
 
 # ----------------------------------------------------------------------
-# Collective interface + registry
+# Collective interface + the ordered candidates
 # ----------------------------------------------------------------------
 
 class Collective:
@@ -750,15 +757,16 @@ class TreeCollective(Collective):
         K, V = shape
         nbytes = float(K) * V * config.phi_bytes
         devs = list(topo.devices)
-        add_cost = phi_reduce_cost(K, V, config)
-        r_s, r_w, r_steps = _tree_reduce_estimate(
-            machine, topo, devs, nbytes, add_cost, retry
-        )
-        b_s, b_w, b_steps = _broadcast_estimate(
-            machine, topo, devs, nbytes, _copy_cost(K, V, config.phi_bytes),
+        ready = dict.fromkeys(devs, 0.0)
+        r_w, r_steps = _tree_reduce_estimate(
+            machine, topo, devs, ready, nbytes, phi_reduce_cost(K, V, config),
             retry,
         )
-        return CostEstimate(r_s + b_s, r_w + b_w, r_steps + b_steps)
+        b_w, b_steps = _broadcast_estimate(
+            machine, topo, devs, ready, nbytes,
+            _copy_cost(K, V, config.phi_bytes), retry,
+        )
+        return CostEstimate(max(ready.values()), r_w + b_w, r_steps + b_steps)
 
 
 class RingCollective(Collective):
@@ -774,10 +782,9 @@ class RingCollective(Collective):
 
     def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
         K, V = shape
-        s, w, steps = _ring_estimate(
+        return _ring_estimate(
             machine, topo, list(topo.devices), K, V, config, retry
         )
-        return CostEstimate(s, w, steps)
 
 
 class CpuGatherCollective(Collective):
@@ -794,10 +801,9 @@ class CpuGatherCollective(Collective):
 
     def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
         K, V = shape
-        s, w, steps = _cpu_gather_estimate(
+        return _cpu_gather_estimate(
             machine, topo, list(topo.devices), K, V, config
         )
-        return CostEstimate(s, w, steps)
 
 
 class HierarchicalCollective(Collective):
@@ -814,85 +820,63 @@ class HierarchicalCollective(Collective):
 
     def estimate(self, machine, topo, shape, config, retry=None) -> CostEstimate:
         K, V = shape
-        phi_b = config.phi_bytes
-        nbytes = float(K) * V * phi_b
+        nbytes = float(K) * V * config.phi_bytes
         add_cost = phi_reduce_cost(K, V, config)
-        copy_cost = _copy_cost(K, V, phi_b)
+        copy_cost = _copy_cost(K, V, config.phi_bytes)
         groups = [list(g) for g in topo.sockets]
+        ready = dict.fromkeys(topo.devices, 0.0)
+        wire = 0.0
+        p1_steps = p3_steps = 0
 
         # Phase 1: per-socket tree reductions run in parallel.
-        p1 = 0.0
-        wire = 0.0
-        p1_steps = 0
         for grp in groups:
-            if len(grp) > 1:
-                s, w, st = _tree_reduce_estimate(
-                    machine, topo, grp, nbytes, add_cost, retry
-                )
-                p1 = max(p1, s)
-                wire += w
-                p1_steps = max(p1_steps, st)
+            w, st = _tree_reduce_estimate(
+                machine, topo, grp, ready, nbytes, add_cost, retry
+            )
+            wire += w
+            p1_steps = max(p1_steps, st)
 
-        # Phase 2: leader ring across the sockets.
+        # Phase 2: the leader ring is priced from the last leader's
+        # ready time and ends on every leader together — exact for the
+        # one or two sockets every platform factory builds.
         leaders = [grp[0] for grp in groups]
-        p2, w2, p2_steps = _ring_estimate(
-            machine, topo, leaders, K, V, config, retry
-        )
-        wire += w2
+        ring = _ring_estimate(machine, topo, leaders, K, V, config, retry)
+        ring_end = max(ready[d] for d in leaders) + ring.seconds
+        ready.update(dict.fromkeys(leaders, ring_end))
+        wire += ring.bytes_on_wire
 
         # Phase 3: per-socket broadcasts run in parallel.
-        p3 = 0.0
-        p3_steps = 0
         for grp in groups:
             if len(grp) > 1:
-                s, w, st = _broadcast_estimate(
-                    machine, topo, grp, nbytes, copy_cost, retry
+                w, st = _broadcast_estimate(
+                    machine, topo, grp, ready, nbytes, copy_cost, retry
                 )
-                p3 = max(p3, s)
                 wire += w
                 p3_steps = max(p3_steps, st)
 
-        return CostEstimate(p1 + p2 + p3, wire, p1_steps + p2_steps + p3_steps)
+        return CostEstimate(
+            max(ready.values()), wire, p1_steps + ring.steps + p3_steps
+        )
 
 
-_COLLECTIVES: dict[str, Collective] = {}
-
-
-def register(collective: Collective) -> Collective:
-    """Add *collective* to the registry (registration order is the
-    planner's tie-break order: earlier wins on equal cost)."""
-    if not collective.name:
-        raise ValueError("collective must have a name")
-    if collective.name in _COLLECTIVES:
-        raise ValueError(f"collective {collective.name!r} already registered")
-    _COLLECTIVES[collective.name] = collective
-    return collective
+#: Every collective, in ``auto``'s tie-break order. The seed default
+#: comes first, so it wins every cost tie — auto can never be slower
+#: than the old hard-wired gpu_tree on equal terms. ``obs`` records a
+#: pick as its index here, so the order is part of the bench baseline.
+COLLECTIVES: tuple[Collective, ...] = (
+    TreeCollective(),
+    RingCollective(),
+    CpuGatherCollective(),
+    HierarchicalCollective(),
+)
 
 
 def get_collective(name: str) -> Collective:
-    """Look a registered collective up by name."""
-    try:
-        return _COLLECTIVES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sync algorithm {name!r}; choose from "
-            + ", ".join(("auto", *_COLLECTIVES))
-        ) from None
-
-
-def collective_names() -> tuple[str, ...]:
-    """Registered collective names, in registration (tie-break) order."""
-    return tuple(_COLLECTIVES)
-
-
-def collectives() -> tuple[Collective, ...]:
-    """The registered collectives, in registration order."""
-    return tuple(_COLLECTIVES.values())
-
-
-# The seed default registers first, so it wins every cost tie — auto
-# can never be slower than the old hard-wired gpu_tree on equal terms.
-register(TreeCollective())
-register(RingCollective())
-register(CpuGatherCollective())
-register(HierarchicalCollective())
+    """Look a collective up by name."""
+    for collective in COLLECTIVES:
+        if collective.name == name:
+            return collective
+    raise ValueError(
+        f"unknown sync algorithm {name!r}; choose from "
+        + ", ".join(("auto", *(c.name for c in COLLECTIVES)))
+    )

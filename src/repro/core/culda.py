@@ -96,7 +96,7 @@ class TrainConfig:
     tree_fanout: int = 32
     # Scheduling.
     chunks_per_gpu: int | None = None   # None → smallest M that fits (§5.1)
-    sync_algorithm: str = "auto"        # planner picks; or any registered collective
+    sync_algorithm: str = "auto"        # planner picks; or any collective name
     overlap_transfers: bool = True
     # Multi-node (DistributedCuLDA; ignored by the single-machine trainer).
     #: Inter-node φ-sync backend: "auto" (cluster planner picks) or any

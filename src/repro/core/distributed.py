@@ -373,29 +373,26 @@ class DistributedCuLDA(CuLDA):
                     retry=retry, algorithm=cfg.inter_sync, server=self.server,
                     nodes=hosts,
                 )
-            if len(plan.nodes) != len(hosts):
+            nodes = plan.participants
+            if len(nodes) != len(hosts):
                 # The topology excluded a hosting node (declared dead
                 # between the stall check and the plan): surface it as a
                 # node loss so the elastic hook can migrate its work.
-                missing = sorted(set(hosts) - set(plan.nodes))
+                missing = sorted(set(hosts) - set(nodes))
                 raise NodeLost(missing[0])
             # The collective runs over the surviving hosting nodes only;
             # for eth_ring that *is* the leader re-election — the ring
-            # (and its segment leaders) re-forms over plan.nodes.
+            # (and its segment leaders) re-forms over the participants.
             result = plan.collective.allreduce(
                 ClusterSyncContext(
-                    network=self.network, nodes=plan.nodes,
-                    node_counts=[node_counts[n] for n in plan.nodes],
-                    pending=[pending[n] for n in plan.nodes],
-                    ready=[ready[n] for n in plan.nodes],
+                    network=self.network, nodes=nodes,
+                    node_counts=[node_counts[n] for n in nodes],
+                    pending=[pending[n] for n in nodes],
+                    ready=[ready[n] for n in nodes],
                     entry_bytes=_ENTRY_BYTES, retry=retry, server=self.server,
                 )
             )
-            if plan.algorithm != "param_server" and self.server is not None:
-                # Keep the server replica in lockstep so backends can
-                # alternate mid-run without drift.
-                self.server.phi = result.phi
-            done = {n: result.done[i] for i, n in enumerate(plan.nodes)}
+            done = {n: result.done[i] for i, n in enumerate(nodes)}
             internode_bytes = result.bytes_on_wire
             self._phi_cache = result.phi.astype(np.int64, copy=True)
             self._node_base = [c.copy() for c in node_counts]

@@ -302,12 +302,12 @@ def _planner_metrics(platform: str) -> dict:
     """Auto (planner-chosen) vs forced reduce-tree sync on one topology.
 
     ``planner_decision`` records which collective the planner picked as
-    an index into :func:`repro.comm.collective_names` — ``info``
+    an index into :data:`repro.comm.COLLECTIVES` — ``info``
     direction, since a pick has no better side; a changed pick still
     fails the gate as drift. ``tree_*`` metrics are info too: the
     forced-tree run is the reference line for auto's numbers.
     """
-    from repro.comm import collective_names, decisions_from_registry
+    from repro.comm import COLLECTIVES, decisions_from_registry
 
     auto, registry, auto_comm = _planner_run(platform, "auto")
     tree, _, tree_comm = _planner_run(platform, "gpu_tree")
@@ -319,7 +319,7 @@ def _planner_metrics(platform: str) -> dict:
         "auto_comm_seconds": _exact(auto_comm, "s", "lower"),
         "tree_comm_seconds": _exact(tree_comm, "s", "info"),
         "planner_decision": _exact(
-            collective_names().index(pick), "enum", "info"
+            [c.name for c in COLLECTIVES].index(pick), "enum", "info"
         ),
         **_sync_metrics(registry),
     }

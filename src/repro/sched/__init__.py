@@ -12,7 +12,7 @@ Implements §4–5 of the paper:
 The φ synchronization of §5.2 (the Fig 4 reduce tree + broadcast and
 its ring/CPU-gather/hierarchical alternatives) lives in the collective
 layer, :mod:`repro.comm.collectives`, behind the ``--sync auto``
-planner; this package re-exports those collectives.
+planner.
 """
 
 from repro.sched.partition import (
@@ -23,13 +23,6 @@ from repro.sched.partition import (
     sync_volume_by_policy,
 )
 from repro.sched.byword import partition_words_by_tokens, train_by_word
-from repro.comm.collectives import (
-    broadcast_phi,
-    cpu_gather_sync,
-    hierarchical_allreduce_phi,
-    reduce_phi_tree,
-    ring_allreduce_phi,
-)
 
 __all__ = [
     "PartitionPlan",
@@ -37,11 +30,6 @@ __all__ = [
     "choose_chunking",
     "estimate_chunk_device_bytes",
     "sync_volume_by_policy",
-    "reduce_phi_tree",
-    "broadcast_phi",
-    "cpu_gather_sync",
-    "ring_allreduce_phi",
-    "hierarchical_allreduce_phi",
     "partition_words_by_tokens",
     "train_by_word",
 ]

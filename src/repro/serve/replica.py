@@ -8,8 +8,8 @@ clock for three things, the same way training does:
 1. **token upload** — the batch's token ids over the replica's PCIe
    uplink (:meth:`Machine.memcpy_h2d`);
 2. **the fold-in kernel** — ``iterations`` sampling sweeps plus θ
-   recounts, costed from the batch's *combined* word-first chunk, so
-   coalescing requests genuinely amortizes the shared p\\*/p₂ staging
+   recounts, costed from the batch's *combined* corpus (the word
+   segments its word-first chunk would have), so coalescing requests genuinely amortizes the shared p\\*/p₂ staging
    (fewer word segments than the per-request chunks summed);
 3. **result download** — the stacked ``doc_topic`` rows back to the
    host.
@@ -69,12 +69,12 @@ def foldin_batch_cost(
     80%. These estimates steer only the simulated clock — results are
     computed exactly.
     """
-    chunk = corpus.to_chunk()
-    T, K = chunk.num_tokens, hyper.num_topics
-    lengths = chunk.doc_lengths
+    T, K = corpus.num_tokens, hyper.num_topics
+    lengths = corpus.doc_lengths
     kd_per_doc = np.minimum(lengths, K)
     kd_sum = int((lengths * kd_per_doc).sum())
-    num_blocks, num_segments = sampling_launch_plan(chunk.word_indptr)
+    word_indptr = np.concatenate(([0], np.cumsum(corpus.word_frequencies())))
+    num_blocks, num_segments = sampling_launch_plan(word_indptr)
     p1_draws = int(0.8 * T)
     mean_kd = kd_sum // max(T, 1)
     probe = int(
@@ -90,7 +90,7 @@ def foldin_batch_cost(
         tree_probe_levels=probe,
     )
     sample = sampling_cost(stats, hyper, corpus.num_words, config)
-    theta = update_theta_cost(T, chunk.num_docs, kd_sum, hyper, config)
+    theta = update_theta_cost(T, corpus.num_docs, kd_sum, hyper, config)
     return KernelCost(
         bytes_read=(sample.bytes_read + theta.bytes_read) * iterations,
         bytes_written=(sample.bytes_written + theta.bytes_written) * iterations,

@@ -13,11 +13,10 @@ import pytest
 
 from repro.comm import (
     AUTO,
+    COLLECTIVES,
     SyncContext,
     Topology,
     TransferRetry,
-    collective_names,
-    collectives,
     cpu_gather_sync,
     get_collective,
     hierarchical_allreduce_phi,
@@ -127,11 +126,10 @@ class TestTopology:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registration_order_and_choices(self):
-        assert collective_names() == (
-            "gpu_tree", "ring", "cpu_gather", "hierarchical"
+        assert sync_choices() == (
+            AUTO, "gpu_tree", "ring", "cpu_gather", "hierarchical"
         )
-        assert sync_choices() == (AUTO, *collective_names())
-        assert [c.name for c in collectives()] == list(collective_names())
+        assert [c.name for c in COLLECTIVES] == list(sync_choices()[1:])
 
     def test_unknown_name_rejected_with_choices(self):
         with pytest.raises(ValueError, match="unknown sync algorithm"):
@@ -312,6 +310,47 @@ class TestPlanner:
         assert all("predicted_seconds" in d for d in decisions)
 
 
+class TestEstimateExactness:
+    """The planner contract on healthy fabrics: every collective's
+    estimate equals the simulator's measurement at every G — not only
+    at powers of two, where the tree's steps are balanced — so ``auto``
+    picks the measured-cheapest collective."""
+
+    @staticmethod
+    def _measure(platform, num_gpus, shape, collective, cfg):
+        m = make_machine(platform, num_gpus)
+        partials, scratch, fulls, streams, _ = _setup(
+            m, K=shape[0], V=shape[1], dtype=np.uint16
+        )
+        t0 = m.synchronize()
+        collective.allreduce(
+            SyncContext(m, partials, fulls, scratch, streams, cfg)
+        )
+        return m.synchronize() - t0
+
+    @pytest.mark.parametrize(
+        "platform", ["maxwell", "pascal", "volta", "ampere", "dgx"]
+    )
+    def test_estimate_equals_measurement_and_auto_is_cheapest(
+        self, platform
+    ):
+        cfg = KernelConfig()
+        for num_gpus in range(1, 9):
+            for shape in ((8, 256), (64, 1024)):
+                m = make_machine(platform, num_gpus)
+                topo = Topology.from_machine(m)
+                measured = {}
+                for c in COLLECTIVES:
+                    measured[c.name] = self._measure(
+                        platform, num_gpus, shape, c, cfg
+                    )
+                    assert c.estimate(m, topo, shape, cfg).seconds == (
+                        pytest.approx(measured[c.name], rel=1e-9)
+                    ), (num_gpus, shape, c.name)
+                pick = plan_sync(m, shape, cfg).algorithm
+                assert measured[pick] <= min(measured.values()) * (1 + 1e-9)
+
+
 # ----------------------------------------------------------------------
 # Structured no-path errors (satellite: same error from every collective)
 # ----------------------------------------------------------------------
@@ -389,7 +428,7 @@ class TestAutoBitIdentity:
         self, corpus, platform, num_gpus
     ):
         auto = self._train(corpus, platform, num_gpus, AUTO).phi
-        for sync in collective_names():
+        for sync in sync_choices()[1:]:
             forced = self._train(corpus, platform, num_gpus, sync).phi
             assert np.array_equal(auto, forced), (platform, num_gpus, sync)
 

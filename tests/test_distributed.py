@@ -42,8 +42,8 @@ from repro.cli import main
 from repro.cluster.network import ClusterNetwork
 from repro.cluster.paramserver import ShardedParameterServer
 from repro.comm import (
+    CLUSTER_COLLECTIVES,
     ClusterSyncContext,
-    cluster_collective_names,
     cluster_sync_choices,
     get_cluster_collective,
     plan_cluster_sync,
@@ -56,6 +56,8 @@ from repro.gpusim.errors import SyncPathError
 from repro.gpusim.platform import make_machine
 
 pytestmark = pytest.mark.distributed
+
+BACKENDS = tuple(c.name for c in CLUSTER_COLLECTIVES)
 
 
 @pytest.fixture(scope="module")
@@ -96,14 +98,14 @@ class TestLayoutEquivalence:
         _assert_same_model(r14, r22)
         _assert_same_model(r14, r41)
 
-    @pytest.mark.parametrize("backend", cluster_collective_names())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical_across_backends(self, corpus, backend):
         reference = _trainer(corpus, 2, 2).train()  # inter_sync=auto
         forced = _trainer(corpus, 2, 2, inter_sync=backend).train()
         _assert_same_model(reference, forced)
 
     def test_backends_conserve_tokens(self, corpus):
-        for backend in cluster_collective_names():
+        for backend in BACKENDS:
             result = _trainer(corpus, 2, 2, inter_sync=backend).train()
             assert result.phi.sum() == corpus.num_tokens
 
@@ -128,7 +130,7 @@ class TestCheckpointResume:
         resumed = _trainer(corpus, 2, 2).train(resume=str(ck))
         _assert_same_model(full, resumed)
 
-    @pytest.mark.parametrize("backend", cluster_collective_names())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_resume_across_backends(self, corpus, tmp_path, backend):
         """A checkpoint written under one backend resumes under another:
         the backends are exact, so the run-state is backend-free."""
@@ -341,7 +343,7 @@ class TestClusterPlannerProperties:
     def test_auto_matches_measured_cheapest(self, case):
         num_nodes, dead, scales, shape = case
         measured = {}
-        for name in cluster_collective_names():
+        for name in BACKENDS:
             seconds, phi, _ = _measure(
                 name, num_nodes, dead, scales, shape, num_nodes
             )
@@ -371,6 +373,32 @@ class TestClusterPlannerProperties:
         )
 
     @given(cluster_cases())
+    @example((4, frozenset({0}), [1.0, 1.0, 0.25, 1.0], (1, 1)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_backend_estimate_equals_measurement(self, case):
+        """Not just auto's pick: every backend's forced estimate equals
+        its measurement, and is infeasible exactly when running it
+        raises SyncPathError."""
+        num_nodes, dead, scales, shape = case
+        net = _build_network(num_nodes, dead, scales)
+        server = ShardedParameterServer(
+            np.zeros(shape, dtype=np.int64), num_nodes, net
+        )
+        for name in BACKENDS:
+            plan = plan_cluster_sync(
+                net, shape, algorithm=name, server=server
+            )
+            seconds, _, _ = _measure(
+                name, num_nodes, dead, scales, shape, num_nodes
+            )
+            if seconds is None:
+                assert not plan.estimate.feasible, name
+            else:
+                assert plan.estimate.seconds == pytest.approx(
+                    seconds, rel=1e-9, abs=1e-15
+                ), name
+
+    @given(cluster_cases())
     @settings(max_examples=40, deadline=None)
     def test_plans_and_traffic_avoid_dead_nodes(self, case):
         num_nodes, dead, scales, shape = case
@@ -379,10 +407,10 @@ class TestClusterPlannerProperties:
             np.zeros(shape, dtype=np.int64), num_nodes, net
         )
         plan = plan_cluster_sync(net, shape, server=server)
-        assert not set(plan.nodes) & dead
-        assert set(plan.nodes) == set(net.alive_nodes)
+        assert not set(plan.participants) & dead
+        assert set(plan.participants) == set(net.alive_nodes)
 
-        for name in cluster_collective_names():
+        for name in BACKENDS:
             _, _, used_net = _measure(
                 name, num_nodes, dead, scales, shape, num_nodes
             )
@@ -410,6 +438,27 @@ class TestClusterPlannerProperties:
         assert plan.forced and plan.algorithm == "param_server"
         auto = plan_cluster_sync(net, (4, 16))
         assert not auto.forced
+
+    def test_param_server_without_server_is_infeasible(self):
+        net = ClusterNetwork(3)
+        forced = plan_cluster_sync(net, (4, 16), algorithm="param_server")
+        assert not forced.estimate.feasible
+        assert plan_cluster_sync(net, (4, 16)).algorithm == "eth_ring"
+
+    def test_eth_ring_keeps_server_in_lockstep(self):
+        net = ClusterNetwork(3)
+        server = ShardedParameterServer(
+            np.zeros((4, 16), dtype=np.int64), 3, net
+        )
+        counts = [np.full((4, 16), i + 1, dtype=np.int64) for i in range(3)]
+        result = get_cluster_collective("eth_ring").allreduce(
+            ClusterSyncContext(
+                network=net, nodes=(0, 1, 2), node_counts=counts,
+                pending=[c.copy() for c in counts], ready=[0.0] * 3,
+                server=server,
+            )
+        )
+        assert np.array_equal(server.phi, result.phi)
 
     def test_choices_list_registry(self):
         assert cluster_sync_choices() == ("auto", "eth_ring", "param_server")
